@@ -7,51 +7,16 @@
 #include "common/logging.h"
 #include "common/status.h"
 #include "flowcube/dump.h"
-#include "gen/path_generator.h"
+#include "fuzz/fixture.h"
 #include "store/mapped_cube.h"
 #include "stream/checkpoint.h"
-#include "stream/incremental_maintainer.h"
 
 namespace flowcube {
-namespace {
-
-// Both v2 readers validate against the pipeline config the caller loads
-// with, so the harness runs them against one fixed fixture — the same
-// two-dimension schema the checkpoint harness and the seed corpus use.
-struct FcspV2Fixture {
-  SchemaPtr schema;
-  FlowCubePlan plan;
-  IncrementalMaintainerOptions options;
-
-  FcspV2Fixture() {
-    GeneratorConfig cfg;
-    cfg.num_dimensions = 2;
-    cfg.dim_distinct_per_level = {2, 2, 2};
-    cfg.num_location_groups = 3;
-    cfg.locations_per_group = 3;
-    cfg.num_sequences = 6;
-    cfg.min_sequence_length = 2;
-    cfg.max_sequence_length = 5;
-    cfg.seed = 909;
-    PathGenerator gen(cfg);
-    PathDatabase db = gen.Generate(1);
-    schema = db.schema_ptr();
-    Result<FlowCubePlan> made = FlowCubePlan::Default(db.schema());
-    FC_CHECK(made.ok());
-    plan = made.value();
-    options.build.min_support = 2;
-  }
-};
-
-const FcspV2Fixture& Fixture() {
-  static const FcspV2Fixture* fixture = new FcspV2Fixture();
-  return *fixture;
-}
-
-}  // namespace
 
 int FuzzFcspV2(const uint8_t* data, size_t size) {
-  const FcspV2Fixture& fx = Fixture();
+  // Both v2 readers validate against the pipeline config the caller loads
+  // with, so every input is run against the one fuzz fixture.
+  const FuzzFixture& fx = GetFuzzFixture();
   const auto buffer = std::make_shared<const std::string>(
       reinterpret_cast<const char*>(data), size);
 
@@ -73,9 +38,9 @@ int FuzzFcspV2(const uint8_t* data, size_t size) {
              DumpFlowCube(strict.value()->cube()));
   }
 
-  // The resume reader. Inputs it accepts must re-encode byte-identically in
-  // their own format (v2 additionally enforces canonical section/column
-  // layout, so decode∘encode is the identity on accepted files).
+  // The resume reader. Inputs it accepts must re-encode byte-identically
+  // (the layout is canonical, so decode∘encode is the identity on accepted
+  // files).
   const std::string_view bytes(*buffer);
   Result<RestoredPipeline> restored =
       DecodeCheckpoint(bytes, fx.schema, fx.plan, fx.options);
@@ -84,22 +49,20 @@ int FuzzFcspV2(const uint8_t* data, size_t size) {
                                      ? &*restored->ingestor_state
                                      : nullptr;
     const std::string reencoded =
-        EncodeCheckpoint(restored->maintainer, state, restored->format);
+        EncodeCheckpoint(restored->maintainer, state);
     FC_CHECK_MSG(reencoded == bytes,
                  "accepted checkpoint did not re-encode byte-identically "
                  "(input " << size << " bytes, re-encoded "
                            << reencoded.size() << " bytes)");
-    if (restored->format == kCheckpointFormatV2) {
-      // Every pipeline-restorable v2 file is also mappable, and the two
-      // readers must agree on the cube and the live record count.
-      FC_CHECK_MSG(strict.ok(),
-                   "mapped load rejected a v2 file DecodeCheckpoint accepts: "
-                       << strict.status().message());
-      FC_CHECK(DumpFlowCube(strict.value()->cube()) ==
-               DumpFlowCube(restored->maintainer.cube()));
-      FC_CHECK(strict.value()->live_records() ==
-               restored->maintainer.live_record_count());
-    }
+    // Every pipeline-restorable file is also mappable, and the two readers
+    // must agree on the cube and the live record count.
+    FC_CHECK_MSG(strict.ok(),
+                 "mapped load rejected a file DecodeCheckpoint accepts: "
+                     << strict.status().message());
+    FC_CHECK(DumpFlowCube(strict.value()->cube()) ==
+             DumpFlowCube(restored->maintainer.cube()));
+    FC_CHECK(strict.value()->live_records() ==
+             restored->maintainer.live_record_count());
   } else if (strict.ok()) {
     // Mappable but not restorable (cube-only files, or resume-section
     // corruption the serving path never reads): the load must at least be

@@ -2,26 +2,28 @@
 // produced by the library's own writers from seeded generator configs, so
 // the corpus is reproducible: same binary, same bytes.
 //
-//   fuzz_make_seeds <corpus-dir>   # writes <dir>/{text_io,checkpoint,serve}/
+//   fuzz_make_seeds <corpus-dir>
+//       # writes <dir>/{text_io,fcsp_v2,shard_body,serve}/
 //
-// The checkpoint corpus stays on the v1 wire format and fuzz/corpus/fcsp_v2
-// holds the v2 images, so each grammar keeps its own seed pool.
-// The checkpoint seeds use the same fixture config as checkpoint_harness.cc
-// and tests/stream_checkpoint_test.cc — DecodeCheckpoint validates a config
-// fingerprint, so seeds built against any other config would be rejected at
-// the first branch and teach the fuzzer nothing about the payload grammar.
+// The checkpoint and shard-body seeds are built from the fuzz fixture's
+// generator config (fuzz/fixture.h), which their harnesses decode against.
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/logging.h"
+#include "fuzz/fixture.h"
 #include "gen/path_generator.h"
 #include "io/binary_io.h"
 #include "io/text_io.h"
 #include "serve/protocol.h"
+#include "serve/query_service.h"
+#include "serve/snapshot_registry.h"
 #include "stream/checkpoint.h"
 #include "stream/incremental_maintainer.h"
 
@@ -35,19 +37,6 @@ void WriteFile(const std::filesystem::path& path, const std::string& bytes) {
   FC_CHECK(out.good());
 }
 
-GeneratorConfig FixtureConfig() {
-  GeneratorConfig cfg;
-  cfg.num_dimensions = 2;
-  cfg.dim_distinct_per_level = {2, 2, 2};
-  cfg.num_location_groups = 3;
-  cfg.locations_per_group = 3;
-  cfg.num_sequences = 6;
-  cfg.min_sequence_length = 2;
-  cfg.max_sequence_length = 5;
-  cfg.seed = 909;
-  return cfg;
-}
-
 void MakeTextIoSeeds(const std::filesystem::path& dir) {
   // A spread of schema shapes and record counts; plus the two degenerate
   // grammars a mutator discovers slowly on its own.
@@ -59,7 +48,7 @@ void MakeTextIoSeeds(const std::filesystem::path& dir) {
   const Spec specs[] = {{1, 1, 7}, {2, 10, 909}, {3, 25, 31}, {2, 0, 5}};
   int n = 0;
   for (const Spec& spec : specs) {
-    GeneratorConfig cfg = FixtureConfig();
+    GeneratorConfig cfg = FuzzFixtureConfig();
     cfg.num_dimensions = spec.dims;
     cfg.seed = spec.seed;
     PathGenerator gen(cfg);
@@ -72,48 +61,8 @@ void MakeTextIoSeeds(const std::filesystem::path& dir) {
   WriteFile(dir / "seed_empty.txt", "");
 }
 
-void MakeCheckpointSeeds(const std::filesystem::path& dir) {
-  PathGenerator gen(FixtureConfig());
-  PathDatabase db = gen.Generate(60);
-  Result<FlowCubePlan> plan = FlowCubePlan::Default(db.schema());
-  FC_CHECK(plan.ok());
-  IncrementalMaintainerOptions options;
-  options.build.min_support = 2;
-
-  int n = 0;
-  for (size_t records : {size_t{0}, size_t{8}, size_t{40}}) {
-    Result<IncrementalMaintainer> m =
-        IncrementalMaintainer::Create(db.schema_ptr(), plan.value(), options);
-    FC_CHECK(m.ok());
-    FC_CHECK(m->ApplyRecords(std::span<const PathRecord>(db.records())
-                                 .subspan(0, records))
-                 .ok());
-    WriteFile(dir / ("seed_" + std::to_string(n++) + ".fcsp"),
-              EncodeCheckpoint(m.value(), nullptr, kCheckpointFormatV1));
-  }
-
-  // One seed with resumable ingestor state so the optional tail section is
-  // in the corpus too.
-  Result<IncrementalMaintainer> m =
-      IncrementalMaintainer::Create(db.schema_ptr(), plan.value(), options);
-  FC_CHECK(m.ok());
-  FC_CHECK(m->ApplyRecords(std::span<const PathRecord>(db.records())
-                               .subspan(0, 12))
-               .ok());
-  IngestorState state;
-  state.registrations[7] = db.record(0).dims;
-  state.registrations[9] = db.record(1).dims;
-  state.open_readings[7] = {
-      RawReading{7, db.record(0).path.stages[0].location, 100},
-      RawReading{7, db.record(0).path.stages[0].location, 700}};
-  state.watermark = 700;
-  state.batches_processed = 3;
-  WriteFile(dir / ("seed_" + std::to_string(n++) + ".fcsp"),
-            EncodeCheckpoint(m.value(), &state, kCheckpointFormatV1));
-}
-
 void MakeFcspV2Seeds(const std::filesystem::path& dir) {
-  PathGenerator gen(FixtureConfig());
+  PathGenerator gen(FuzzFixtureConfig());
   PathDatabase db = gen.Generate(60);
   Result<FlowCubePlan> plan = FlowCubePlan::Default(db.schema());
   FC_CHECK(plan.ok());
@@ -129,7 +78,7 @@ void MakeFcspV2Seeds(const std::filesystem::path& dir) {
     FC_CHECK(m->ApplyRecords(std::span<const PathRecord>(db.records())
                                  .subspan(0, records))
                  .ok());
-    forty = EncodeCheckpoint(m.value(), nullptr, kCheckpointFormatV2);
+    forty = EncodeCheckpoint(m.value(), nullptr);
     WriteFile(dir / ("seed_" + std::to_string(n++) + ".fcsp"), forty);
   }
 
@@ -149,7 +98,7 @@ void MakeFcspV2Seeds(const std::filesystem::path& dir) {
   state.watermark = 700;
   state.batches_processed = 3;
   WriteFile(dir / ("seed_" + std::to_string(n++) + ".fcsp"),
-            EncodeCheckpoint(m.value(), &state, kCheckpointFormatV2));
+            EncodeCheckpoint(m.value(), &state));
 
   // A cube-only variant of the 40-record seed: resume section stripped,
   // resume header fields and live count zeroed, header CRC refreshed. The
@@ -180,6 +129,69 @@ void MakeFcspV2Seeds(const std::filesystem::path& dir) {
   std::string bad_magic = forty;
   bad_magic[0] = 'X';
   WriteFile(dir / ("seed_" + std::to_string(n++) + ".fcsp"), bad_magic);
+}
+
+void MakeShardBodySeeds(const std::filesystem::path& dir) {
+  // Real bodies: a shard's QueryService answering each internal request
+  // over a 40-record cube of the fixture (exceptions on, so flowgraphs
+  // carry exception blocks).
+  PathGenerator gen(FuzzFixtureConfig());
+  PathDatabase db = gen.Generate(60);
+  Result<FlowCubePlan> plan = FlowCubePlan::Default(db.schema());
+  FC_CHECK(plan.ok());
+  IncrementalMaintainerOptions options;
+  options.build.min_support = 2;
+  Result<IncrementalMaintainer> m =
+      IncrementalMaintainer::Create(db.schema_ptr(), plan.value(), options);
+  FC_CHECK(m.ok());
+  FC_CHECK(m->ApplyRecords(std::span<const PathRecord>(db.records())
+                               .subspan(0, 40))
+               .ok());
+  CubeSnapshot snapshot;
+  snapshot.epoch = 1;
+  snapshot.records = m->live_record_count();
+  snapshot.cube = std::make_shared<const FlowCube>(m->cube().Clone());
+  const FlowCube& cube = *snapshot.cube;
+
+  const int apex = plan->FindItemLevel(ItemLevel{{0, 0}});
+  FC_CHECK(apex >= 0);
+  const WireCellCoord apex_coord{static_cast<uint32_t>(apex), {}};
+  const WireCellCoord absent{static_cast<uint32_t>(apex), {0xFFFFFFF0u}};
+
+  std::vector<QueryRequest> requests;
+  for (uint32_t pl : {0u, 1u}) {
+    QueryRequest fetch;
+    fetch.type = RequestType::kCellFetchBatch;
+    fetch.pl_index = pl;
+    fetch.coords = {apex_coord, absent};
+    for (uint32_t il = 0; il < 3; ++il) {
+      const std::vector<const FlowCell*> cells =
+          cube.cuboid(il, pl).SortedCells();
+      if (!cells.empty()) fetch.coords.push_back({il, cells.back()->dims});
+    }
+    requests.push_back(fetch);
+  }
+  for (uint32_t dim : {0u, 1u}) {
+    QueryRequest children;
+    children.type = RequestType::kChildrenFetch;
+    children.dim = dim;
+    children.coords = {apex_coord};
+    requests.push_back(children);
+  }
+  QueryRequest orphan;
+  orphan.type = RequestType::kChildrenFetch;
+  orphan.coords = {absent};
+  requests.push_back(orphan);
+  QueryRequest stats;
+  stats.type = RequestType::kStatsFetch;
+  requests.push_back(stats);
+
+  int n = 0;
+  for (const QueryRequest& request : requests) {
+    const QueryResponse response = QueryService::ExecuteOn(snapshot, request);
+    FC_CHECK_MSG(response.code == Status::Code::kOk, response.message);
+    WriteFile(dir / ("seed_" + std::to_string(n++) + ".bin"), response.body);
+  }
 }
 
 void MakeServeSeeds(const std::filesystem::path& dir) {
@@ -236,12 +248,12 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path root(argv[1]);
   std::filesystem::create_directories(root / "text_io");
-  std::filesystem::create_directories(root / "checkpoint");
   std::filesystem::create_directories(root / "fcsp_v2");
+  std::filesystem::create_directories(root / "shard_body");
   std::filesystem::create_directories(root / "serve");
   flowcube::MakeTextIoSeeds(root / "text_io");
-  flowcube::MakeCheckpointSeeds(root / "checkpoint");
   flowcube::MakeFcspV2Seeds(root / "fcsp_v2");
+  flowcube::MakeShardBodySeeds(root / "shard_body");
   flowcube::MakeServeSeeds(root / "serve");
   std::fprintf(stderr, "seed corpora written under %s\n", argv[1]);
   return 0;

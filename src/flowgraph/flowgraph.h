@@ -219,10 +219,10 @@ class FlowGraph {
  private:
   // Corruption backdoor for tests/audit_test.cc.
   friend struct FlowGraphTestPeer;
-  // Checkpoint codec (src/stream/checkpoint.cc): serializes the node
-  // tables verbatim (children order included) so a restored graph dumps
-  // byte-identically.
-  friend struct FlowGraphSerializer;
+  // Shard wire codec (src/serve/shard_codec.cc): serializes the node
+  // tables verbatim (children order included) so a decoded graph merges
+  // and dumps byte-identically.
+  friend struct FlowGraphWireCodec;
   // Store loader (src/store/cube_codec.cc): assembles sealed graphs whose
   // column views borrow a checkpoint mapping.
   friend struct FlowGraphStoreAccess;

@@ -9,8 +9,7 @@
 #include "common/metrics.h"
 #include "flowcube/dump.h"
 #include "flowcube/query.h"
-#include "io/binary_io.h"
-#include "stream/checkpoint.h"
+#include "serve/shard_codec.h"
 
 namespace flowcube {
 namespace {
@@ -240,72 +239,41 @@ QueryResponse QueryService::ExecuteOn(const CubeSnapshot& snapshot,
       break;
     }
     case RequestType::kCellFetchBatch: {
-      ByteWriter w;
-      w.U32(static_cast<uint32_t>(request.coords.size()));
+      std::vector<const FlowCell*> cells;
+      cells.reserve(request.coords.size());
       for (const WireCellCoord& c : request.coords) {
-        const FlowCell* cell =
-            cube.cuboid(c.il_index, request.pl_index).Find(c.key);
-        if (cell == nullptr) {
-          w.U8(0);
-          continue;
-        }
-        w.U8(1);
-        w.U32(cell->support);
-        EncodeFlowGraph(cell->graph, &w);
+        cells.push_back(cube.cuboid(c.il_index, request.pl_index).Find(c.key));
       }
-      response.body = w.data();
+      response.body = EncodeCellFetchBody(cells);
       break;
     }
     case RequestType::kChildrenFetch: {
       const WireCellCoord& c = request.coords[0];
-      ByteWriter w;
       const FlowCell* parent =
           cube.cuboid(c.il_index, request.pl_index).Find(c.key);
-      if (parent == nullptr) {
-        // No parent paths on this shard means no child paths either.
-        w.U8(0);
-        w.U32(0);
-        response.body = w.data();
-        break;
+      std::vector<const FlowCell*> children;
+      if (parent != nullptr) {
+        for (const CellRef& child : query.DrillDown(
+                 CellRef{parent, c.il_index, request.pl_index}, request.dim)) {
+          children.push_back(child.cell);
+        }
+        std::sort(children.begin(), children.end(),
+                  [](const FlowCell* a, const FlowCell* b) {
+                    return a->dims < b->dims;
+                  });
       }
-      w.U8(1);
-      w.U32(parent->support);
-      EncodeFlowGraph(parent->graph, &w);
-      std::vector<CellRef> children = query.DrillDown(
-          CellRef{parent, c.il_index, request.pl_index}, request.dim);
-      std::sort(children.begin(), children.end(),
-                [](const CellRef& a, const CellRef& b) {
-                  return a.cell->dims < b.cell->dims;
-                });
-      w.U32(static_cast<uint32_t>(children.size()));
-      for (const CellRef& child : children) {
-        w.U32(static_cast<uint32_t>(child.cell->dims.size()));
-        for (ItemId id : child.cell->dims) w.U32(id);
-        w.U32(child.cell->support);
-        EncodeFlowGraph(child.cell->graph, &w);
-      }
-      response.body = w.data();
+      response.body = EncodeChildrenBody(parent, children);
       break;
     }
     case RequestType::kStatsFetch: {
-      ByteWriter w;
-      w.U64(snapshot.records);
+      std::vector<std::vector<const FlowCell*>> cuboids;
       const FlowCubePlan& plan = cube.plan();
-      w.U32(static_cast<uint32_t>(plan.item_levels.size()));
-      w.U32(static_cast<uint32_t>(plan.path_levels.size()));
       for (size_t il = 0; il < plan.item_levels.size(); ++il) {
         for (size_t pl = 0; pl < plan.path_levels.size(); ++pl) {
-          const std::vector<const FlowCell*> cells =
-              cube.cuboid(il, pl).SortedCells();
-          w.U32(static_cast<uint32_t>(cells.size()));
-          for (const FlowCell* cell : cells) {
-            w.U32(static_cast<uint32_t>(cell->dims.size()));
-            for (ItemId id : cell->dims) w.U32(id);
-            w.U32(cell->support);
-          }
+          cuboids.push_back(cube.cuboid(il, pl).SortedCells());
         }
       }
-      response.body = w.data();
+      response.body = EncodeStatsBody(snapshot.records, plan, cuboids);
       break;
     }
   }

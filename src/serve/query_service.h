@@ -46,22 +46,8 @@ struct QueryServiceOptions {
 //     (memory is deliberately absent: vector capacities differ between a
 //     clone and a rebuild, and the body must not)
 //
-// The shard-internal requests carry binary bodies instead (io/binary_io
-// little-endian primitives; flowgraphs in the FCSP node-table encoding of
-// stream/checkpoint.h EncodeFlowGraph):
-//
-//   kCellFetchBatch:
-//     u32 count, then per requested coordinate:
-//       u8 found; when found: u32 support, flowgraph
-//   kChildrenFetch:
-//     u8 parent_found; when found: u32 parent_support, flowgraph
-//     u32 num_children, then per child (sorted by coordinates):
-//       u32 key_size, u32 key ids..., u32 support, flowgraph
-//   kStatsFetch:
-//     u64 records, u32 num_item_levels, u32 num_path_levels, then per
-//     cuboid (item level outer, path level inner):
-//       u32 num_cells, then per cell (sorted by coordinates):
-//         u32 key_size, u32 key ids..., u32 support
+// The shard-internal requests (kCellFetchBatch, kChildrenFetch,
+// kStatsFetch) carry the binary bodies of serve/shard_codec.h instead.
 //
 // Errors map straight onto the Status vocabulary: the response carries the
 // failing code and message with an empty body.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <string_view>
 #include <utility>
@@ -9,8 +10,7 @@
 #include "common/logging.h"
 #include "flowcube/dump.h"
 #include "flowcube/query.h"
-#include "io/binary_io.h"
-#include "stream/checkpoint.h"
+#include "serve/shard_codec.h"
 
 namespace flowcube {
 namespace {
@@ -70,121 +70,6 @@ CoordinatorResult ErrorResult(const QueryRequest& request,
   return result;
 }
 
-// One shard's contribution to one requested coordinate.
-struct FetchedCell {
-  bool found = false;
-  uint32_t support = 0;
-  FlowGraph graph;  // sealed (DecodeFlowGraph output)
-};
-
-Status DecodeCellFetchBody(size_t shard, std::string_view body,
-                           const PathSchema& schema, size_t expected,
-                           std::vector<FetchedCell>* out) {
-  ByteReader r(body);
-  uint32_t n = 0;
-  if (!r.U32(&n).ok() || n != expected) return MalformedBody(shard);
-  out->clear();
-  out->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint8_t found = 0;
-    if (!r.U8(&found).ok()) return MalformedBody(shard);
-    if (found == 0) continue;
-    if (found != 1) return MalformedBody(shard);
-    FetchedCell& cell = (*out)[i];
-    cell.found = true;
-    if (!r.U32(&cell.support).ok()) return MalformedBody(shard);
-    if (!DecodeFlowGraph(&r, schema, &cell.graph).ok()) {
-      return MalformedBody(shard);
-    }
-  }
-  if (!r.AtEnd()) return MalformedBody(shard);
-  return Status::OK();
-}
-
-Status DecodeKey(ByteReader* r, Itemset* key) {
-  uint32_t n = 0;
-  FC_RETURN_IF_ERROR(r->U32(&n));
-  if (n > kMaxQueryValues) return Status::Internal("key too long");
-  key->clear();
-  key->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t id = 0;
-    FC_RETURN_IF_ERROR(r->U32(&id));
-    key->push_back(id);
-  }
-  return Status::OK();
-}
-
-struct FetchedChildren {
-  FetchedCell parent;
-  std::vector<std::pair<Itemset, FetchedCell>> children;
-};
-
-Status DecodeChildrenBody(size_t shard, std::string_view body,
-                          const PathSchema& schema, FetchedChildren* out) {
-  ByteReader r(body);
-  uint8_t found = 0;
-  if (!r.U8(&found).ok()) return MalformedBody(shard);
-  if (found == 0) {
-    uint32_t zero = 0;
-    if (!r.U32(&zero).ok() || zero != 0 || !r.AtEnd()) {
-      return MalformedBody(shard);
-    }
-    return Status::OK();
-  }
-  if (found != 1) return MalformedBody(shard);
-  out->parent.found = true;
-  if (!r.U32(&out->parent.support).ok()) return MalformedBody(shard);
-  if (!DecodeFlowGraph(&r, schema, &out->parent.graph).ok()) {
-    return MalformedBody(shard);
-  }
-  uint32_t n = 0;
-  if (!r.U32(&n).ok()) return MalformedBody(shard);
-  out->children.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& [key, cell] = out->children[i];
-    if (!DecodeKey(&r, &key).ok()) return MalformedBody(shard);
-    cell.found = true;
-    if (!r.U32(&cell.support).ok()) return MalformedBody(shard);
-    if (!DecodeFlowGraph(&r, schema, &cell.graph).ok()) {
-      return MalformedBody(shard);
-    }
-  }
-  if (!r.AtEnd()) return MalformedBody(shard);
-  return Status::OK();
-}
-
-struct FetchedStats {
-  uint64_t records = 0;
-  // cuboids[il * num_pl + pl] = (key, support) list, sorted by key.
-  std::vector<std::vector<std::pair<Itemset, uint32_t>>> cuboids;
-};
-
-Status DecodeStatsBody(size_t shard, std::string_view body,
-                       const FlowCubePlan& plan, FetchedStats* out) {
-  ByteReader r(body);
-  if (!r.U64(&out->records).ok()) return MalformedBody(shard);
-  uint32_t n_il = 0;
-  uint32_t n_pl = 0;
-  if (!r.U32(&n_il).ok() || !r.U32(&n_pl).ok()) return MalformedBody(shard);
-  // A shard running a different plan is a deployment error, not data.
-  if (n_il != plan.item_levels.size() || n_pl != plan.path_levels.size()) {
-    return MalformedBody(shard);
-  }
-  out->cuboids.resize(static_cast<size_t>(n_il) * n_pl);
-  for (auto& cells : out->cuboids) {
-    uint32_t n = 0;
-    if (!r.U32(&n).ok()) return MalformedBody(shard);
-    cells.resize(n);
-    for (auto& [key, support] : cells) {
-      if (!DecodeKey(&r, &key).ok()) return MalformedBody(shard);
-      if (!r.U32(&support).ok()) return MalformedBody(shard);
-    }
-  }
-  if (!r.AtEnd()) return MalformedBody(shard);
-  return Status::OK();
-}
-
 WireCellCoord ToWire(const CellCoords& coords) {
   WireCellCoord wire;
   wire.il_index = static_cast<uint32_t>(coords.il_index);
@@ -203,6 +88,17 @@ void MergeShard(const FetchedCell& fetched, MergedCell* merged) {
   if (!fetched.found) return;
   merged->support += fetched.support;
   merged->graph.MergeFrom(fetched.graph);
+}
+
+// A rendered cell carries a u32 support, so a merged sum above that range
+// cannot be answered (the shards' u32 path counts have wrapped with it).
+bool SupportOverflows(const MergedCell& merged) {
+  return merged.support > std::numeric_limits<uint32_t>::max();
+}
+
+Status SupportOverflow(const std::string& cell_name) {
+  return Status::Internal("cell " + cell_name +
+                          ": merged support exceeds the u32 range");
 }
 
 }  // namespace
@@ -332,10 +228,10 @@ CoordinatorResult ShardCoordinator::PointLookup(const QueryRequest& request,
   }
   std::vector<std::vector<FetchedCell>> per_shard(bodies->size());
   for (size_t s = 0; s < bodies->size(); ++s) {
-    Status decoded = DecodeCellFetchBody(s, (*bodies)[s], schema,
-                                         resolved.size(), &per_shard[s]);
-    if (!decoded.ok()) {
-      return ErrorResult(request, decoded, std::move(result.epochs));
+    if (!DecodeCellFetchBody((*bodies)[s], schema, resolved.size(),
+                             &per_shard[s])
+             .ok()) {
+      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
     }
   }
 
@@ -348,6 +244,11 @@ CoordinatorResult ShardCoordinator::PointLookup(const QueryRequest& request,
     if (merged.support < delta) continue;
     // First candidate at or above the global threshold is the answer
     // (candidates are in CellOrAncestor probe order).
+    if (SupportOverflows(merged)) {
+      return ErrorResult(request,
+                         SupportOverflow(skeleton_.CellName(resolved[i].key)),
+                         std::move(result.epochs));
+    }
     FlowCell cell;
     cell.dims = resolved[i].key;
     cell.support = static_cast<uint32_t>(merged.support);
@@ -398,10 +299,9 @@ CoordinatorResult ShardCoordinator::DrillDown(const QueryRequest& request) const
   }
   std::vector<FetchedChildren> per_shard(bodies->size());
   for (size_t s = 0; s < bodies->size(); ++s) {
-    Status decoded =
-        DecodeChildrenBody(s, (*bodies)[s], skeleton_.schema(), &per_shard[s]);
-    if (!decoded.ok()) {
-      return ErrorResult(request, decoded, std::move(result.epochs));
+    if (!DecodeChildrenBody((*bodies)[s], skeleton_.schema(), &per_shard[s])
+             .ok()) {
+      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
     }
   }
 
@@ -432,6 +332,10 @@ CoordinatorResult ShardCoordinator::DrillDown(const QueryRequest& request) const
   size_t materialized = 0;
   for (const auto& [key, merged] : children) {
     if (merged.support < delta) continue;
+    if (SupportOverflows(merged)) {
+      return ErrorResult(request, SupportOverflow(skeleton_.CellName(key)),
+                         std::move(result.epochs));
+    }
     ++materialized;
   }
   body = "children " + std::to_string(materialized) + "\n";
@@ -477,11 +381,10 @@ CoordinatorResult ShardCoordinator::Similarity(const QueryRequest& request) cons
   }
   std::vector<std::vector<FetchedCell>> per_shard(bodies->size());
   for (size_t s = 0; s < bodies->size(); ++s) {
-    Status decoded =
-        DecodeCellFetchBody(s, (*bodies)[s], skeleton_.schema(),
-                            internal.coords.size(), &per_shard[s]);
-    if (!decoded.ok()) {
-      return ErrorResult(request, decoded, std::move(result.epochs));
+    if (!DecodeCellFetchBody((*bodies)[s], skeleton_.schema(),
+                             internal.coords.size(), &per_shard[s])
+             .ok()) {
+      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
     }
   }
 
@@ -539,10 +442,9 @@ CoordinatorResult ShardCoordinator::Stats(const QueryRequest& request) const {
   }
   std::vector<FetchedStats> per_shard(bodies->size());
   for (size_t s = 0; s < bodies->size(); ++s) {
-    Status decoded =
-        DecodeStatsBody(s, (*bodies)[s], skeleton_.plan(), &per_shard[s]);
-    if (!decoded.ok()) {
-      return ErrorResult(request, decoded, std::move(result.epochs));
+    if (!DecodeStatsBody((*bodies)[s], skeleton_.plan(), &per_shard[s])
+             .ok()) {
+      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
     }
   }
 

@@ -20,27 +20,30 @@ FlowCubeBuilderOptions ShardNode::ShardLocalBuild(
   return local;
 }
 
-Result<std::unique_ptr<ShardNode>> ShardNode::Create(SchemaPtr schema,
-                                                     FlowCubePlan plan,
-                                                     ShardNodeOptions options) {
-  IncrementalMaintainerOptions maintainer_options;
-  maintainer_options.build = ShardLocalBuild(options.global_build);
-  maintainer_options.window_records = options.window_records;
-  Result<IncrementalMaintainer> maintainer = IncrementalMaintainer::Create(
-      std::move(schema), std::move(plan), maintainer_options);
-  if (!maintainer.ok()) return maintainer.status();
+namespace {
 
+IncrementalMaintainerOptions LocalMaintainerOptions(
+    const ShardNodeOptions& options) {
+  IncrementalMaintainerOptions local;
+  local.build = ShardNode::ShardLocalBuild(options.global_build);
+  local.window_records = options.window_records;
+  return local;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<ShardNode>> ShardNode::Start(
+    IncrementalMaintainer maintainer, const ShardNodeOptions& options) {
   std::unique_ptr<ShardNode> node(new ShardNode());
-  node->maintainer_ = std::make_unique<IncrementalMaintainer>(
-      std::move(maintainer).value());
+  node->maintainer_ =
+      std::make_unique<IncrementalMaintainer>(std::move(maintainer));
   AttachToRegistry(node->maintainer_.get(), &node->registry_);
-  // Publish the empty cube as epoch 1 so a record-less shard is queryable
-  // (every coordinator query pins one epoch per shard; "no snapshot yet"
-  // would poison the whole fan-out).
-  {
-    auto clone = std::make_shared<FlowCube>(node->maintainer_->cube().Clone());
-    node->registry_.Publish(std::move(clone), 0);
-  }
+  // Publish the maintainer's cube as epoch 1 so the shard is queryable
+  // before its next batch (every coordinator query pins one epoch per
+  // shard; "no snapshot yet" would poison the whole fan-out).
+  node->registry_.Publish(
+      std::make_shared<const FlowCube>(node->maintainer_->cube().Clone()),
+      node->maintainer_->live_record_count());
   node->service_ = std::make_unique<QueryService>(&node->registry_,
                                                   options.service);
   if (options.serve_remote) {
@@ -52,58 +55,33 @@ Result<std::unique_ptr<ShardNode>> ShardNode::Create(SchemaPtr schema,
     node->server_ = std::move(server).value();
   }
   return node;
+}
+
+Result<std::unique_ptr<ShardNode>> ShardNode::Create(SchemaPtr schema,
+                                                     FlowCubePlan plan,
+                                                     ShardNodeOptions options) {
+  Result<IncrementalMaintainer> maintainer = IncrementalMaintainer::Create(
+      std::move(schema), std::move(plan), LocalMaintainerOptions(options));
+  if (!maintainer.ok()) return maintainer.status();
+  return Start(std::move(maintainer).value(), options);
 }
 
 Result<std::unique_ptr<ShardNode>> ShardNode::ColdStart(
     SchemaPtr schema, FlowCubePlan plan, ShardNodeOptions options,
-    const std::string& checkpoint_file, const MappedCubeOptions& mopts) {
-  IncrementalMaintainerOptions maintainer_options;
-  maintainer_options.build = ShardLocalBuild(options.global_build);
-  maintainer_options.window_records = options.window_records;
-
-  // Resume the maintainer first — it validates the fingerprint against the
-  // derived shard-local options and rebuilds the live-record indexes, so
-  // ingestion continues exactly where the checkpointed shard stopped.
+    const std::string& checkpoint_file) {
+  // The restore validates the fingerprint against the derived shard-local
+  // options and rebuilds the live-record indexes, so ingestion continues
+  // exactly where the checkpointed shard stopped; the published clone's
+  // sealed graphs share the restored image's columns.
   Result<RestoredPipeline> restored =
-      LoadCheckpoint(checkpoint_file, schema, plan, maintainer_options);
+      LoadCheckpoint(checkpoint_file, std::move(schema), std::move(plan),
+                     LocalMaintainerOptions(options));
   if (!restored.ok()) return restored.status();
-
-  std::unique_ptr<ShardNode> node(new ShardNode());
-  node->maintainer_ = std::make_unique<IncrementalMaintainer>(
-      std::move(restored.value().maintainer));
-  AttachToRegistry(node->maintainer_.get(), &node->registry_);
-
-  // Epoch 1: the checkpointed cube. The v2 path publishes the mapped file
-  // image itself — the registry snapshot's columns are views into the
-  // mapping, so a cold shard serves before reading most of the file.
-  if (restored.value().format == kCheckpointFormatV2) {
-    Result<std::shared_ptr<const MappedCube>> mapped = MappedCube::Load(
-        checkpoint_file, std::move(schema), plan, maintainer_options, mopts);
-    if (!mapped.ok()) return mapped.status();
-    node->registry_.Publish(mapped.value()->shared_cube(),
-                            mapped.value()->live_records());
-  } else {
-    node->registry_.Publish(
-        std::make_shared<const FlowCube>(node->maintainer_->cube().Clone()),
-        node->maintainer_->live_record_count());
-  }
-
-  node->service_ = std::make_unique<QueryService>(&node->registry_,
-                                                  options.service);
-  if (options.serve_remote) {
-    ServerOptions server_options;
-    server_options.max_frame_payload = kMaxInternalFramePayload;
-    Result<std::unique_ptr<QueryServer>> server =
-        QueryServer::Start(node->service_.get(), server_options);
-    if (!server.ok()) return server.status();
-    node->server_ = std::move(server).value();
-  }
-  return node;
+  return Start(std::move(restored.value().maintainer), options);
 }
 
-Status ShardNode::SaveCheckpoint(const std::string& filename,
-                                 uint32_t format) const {
-  return flowcube::SaveCheckpoint(*maintainer_, nullptr, filename, format);
+Status ShardNode::SaveCheckpoint(const std::string& filename) const {
+  return flowcube::SaveCheckpoint(*maintainer_, nullptr, filename);
 }
 
 ShardNode::~ShardNode() {

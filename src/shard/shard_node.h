@@ -9,7 +9,6 @@
 #include "serve/query_service.h"
 #include "serve/server.h"
 #include "serve/snapshot_registry.h"
-#include "store/mapped_cube.h"
 #include "stream/incremental_maintainer.h"
 
 namespace flowcube {
@@ -67,20 +66,16 @@ class ShardNode {
   // records — a restarted shard is queryable at its pre-restart state
   // before any re-ingestion. The checkpoint must have been written by this
   // shard's SaveCheckpoint (the config fingerprint covers the derived
-  // shard-local options, so a monolithic checkpoint is rejected). For v2
-  // files the published epoch is the zero-copy mapped image
-  // (store/mapped_cube.h); v1 files publish a heap clone of the restored
-  // cube.
+  // shard-local options, so a monolithic checkpoint is rejected). The file
+  // is read once: the published epoch is a clone of the restored cube,
+  // whose sealed graphs view the restored image.
   static Result<std::unique_ptr<ShardNode>> ColdStart(
       SchemaPtr schema, FlowCubePlan plan, ShardNodeOptions options,
-      const std::string& checkpoint_file,
-      const MappedCubeOptions& mopts = {});
+      const std::string& checkpoint_file);
 
   // Checkpoints this shard's maintainer to `filename` (no ingestor state —
-  // the splitter upstream owns buffering). `format` as in SaveCheckpoint:
-  // kCheckpointFormatV1 / V2 / 0 for the env default.
-  Status SaveCheckpoint(const std::string& filename,
-                        uint32_t format = 0) const;
+  // the splitter upstream owns buffering).
+  Status SaveCheckpoint(const std::string& filename) const;
 
   ~ShardNode();
   ShardNode(const ShardNode&) = delete;
@@ -102,6 +97,11 @@ class ShardNode {
 
  private:
   ShardNode() = default;
+
+  // Wraps `maintainer` in a node: attaches the registry, publishes its cube
+  // as epoch 1, and starts the service (and server when serve_remote).
+  static Result<std::unique_ptr<ShardNode>> Start(
+      IncrementalMaintainer maintainer, const ShardNodeOptions& options);
 
   std::unique_ptr<IncrementalMaintainer> maintainer_;
   SnapshotRegistry registry_;

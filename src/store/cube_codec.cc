@@ -71,22 +71,10 @@ Status Corrupt(const char* what) {
                                  what);
 }
 
-// Reads a u64 element count from the meta stream, rejecting counts that
-// cannot fit in the remaining bytes (every encoded element consumes at
-// least one byte) — same guard as the v1 codec.
-Status ReadCount(ByteReader* r, uint64_t* count) {
-  FC_RETURN_IF_ERROR(r->U64(count));
-  if (*count > r->remaining()) {
-    return Corrupt("element count exceeds section size");
-  }
-  return Status::OK();
-}
+}  // namespace
 
-// Exception lists live in the meta stream (they are small, pointer-rich,
-// and irrelevant to the hot columns); the encoding matches v1's exception
-// block field-for-field.
-void EncodeExceptions(const FlowGraph& g, ByteWriter* w) {
-  const std::vector<FlowException>& exceptions = g.exceptions();
+void EncodeExceptionBlock(const std::vector<FlowException>& exceptions,
+                          ByteWriter* w) {
   w->U64(exceptions.size());
   for (const FlowException& e : exceptions) {
     w->U8(e.kind == FlowException::Kind::kTransition ? 0 : 1);
@@ -104,26 +92,36 @@ void EncodeExceptions(const FlowGraph& g, ByteWriter* w) {
   }
 }
 
-Status DecodeExceptions(ByteReader* r, uint64_t num_nodes,
-                        std::vector<FlowException>* out) {
+Status DecodeExceptionBlock(ByteReader* r, uint64_t num_nodes,
+                            Status (*corrupt)(const char*),
+                            std::vector<FlowException>* out) {
+  // Every element consumes at least one byte, so a count beyond the
+  // remaining bytes is corrupt — and can never drive a huge allocation.
+  auto read_count = [&](uint64_t* count) -> Status {
+    FC_RETURN_IF_ERROR(r->U64(count));
+    if (*count > r->remaining()) {
+      return corrupt("element count exceeds section size");
+    }
+    return Status::OK();
+  };
   uint64_t num_exceptions = 0;
-  FC_RETURN_IF_ERROR(ReadCount(r, &num_exceptions));
+  FC_RETURN_IF_ERROR(read_count(&num_exceptions));
   out->clear();
   for (uint64_t i = 0; i < num_exceptions; ++i) {
     FlowException e;
     uint8_t kind = 0;
     FC_RETURN_IF_ERROR(r->U8(&kind));
-    if (kind > 1) return Corrupt("unknown exception kind");
+    if (kind > 1) return corrupt("unknown exception kind");
     e.kind = kind == 0 ? FlowException::Kind::kTransition
                        : FlowException::Kind::kDuration;
     uint64_t num_conditions = 0;
-    FC_RETURN_IF_ERROR(ReadCount(r, &num_conditions));
+    FC_RETURN_IF_ERROR(read_count(&num_conditions));
     for (uint64_t c = 0; c < num_conditions; ++c) {
       StageCondition cond;
       FC_RETURN_IF_ERROR(r->U32(&cond.node));
       FC_RETURN_IF_ERROR(r->I64(&cond.duration));
       if (cond.node >= num_nodes) {
-        return Corrupt("exception condition node out of range");
+        return corrupt("exception condition node out of range");
       }
       e.condition.push_back(cond);
     }
@@ -133,19 +131,21 @@ Status DecodeExceptions(ByteReader* r, uint64_t num_nodes,
     FC_RETURN_IF_ERROR(r->F64(&e.global_probability));
     FC_RETURN_IF_ERROR(r->F64(&e.conditional_probability));
     FC_RETURN_IF_ERROR(r->U32(&e.condition_support));
-    if (e.node >= num_nodes) return Corrupt("exception node out of range");
+    if (e.node >= num_nodes) return corrupt("exception node out of range");
     if (e.transition_target != FlowGraph::kTerminate &&
         e.transition_target >= num_nodes) {
-      return Corrupt("exception transition target out of range");
+      return corrupt("exception transition target out of range");
     }
     if (!std::isfinite(e.global_probability) ||
         !std::isfinite(e.conditional_probability)) {
-      return Corrupt("exception probability is not finite");
+      return corrupt("exception probability is not finite");
     }
     out->push_back(std::move(e));
   }
   return Status::OK();
 }
+
+namespace {
 
 // Canonical slot table for cells installed in sorted order: linear probing
 // from the itemset hash at exactly SlotCapacityFor(n). The writer emits
@@ -327,7 +327,9 @@ void EncodeCubeSections(const FlowCube& cube, ByteWriter* meta,
                layout.slots);
       FC_CHECK(arena->size() == cursor);
 
-      for (const FlowCell* cell : cells) EncodeExceptions(cell->graph, meta);
+      for (const FlowCell* cell : cells) {
+        EncodeExceptionBlock(cell->graph.exceptions(), meta);
+      }
     }
   }
 }
@@ -544,7 +546,8 @@ Result<FlowCube> BuildCubeFromSections(
         if (!qualifies) return Corrupt("cell below the iceberg threshold");
 
         std::vector<FlowException> exceptions;
-        FC_RETURN_IF_ERROR(DecodeExceptions(&r, num_nodes, &exceptions));
+        FC_RETURN_IF_ERROR(
+            DecodeExceptionBlock(&r, num_nodes, &Corrupt, &exceptions));
 
         FlowGraphStoreAccess::GraphSpans spans;
         spans.location = location.subspan(a, num_nodes);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "flowcube/flowcube.h"
@@ -16,8 +17,9 @@ namespace flowcube {
 // Encoder/decoder for the cube portion of an FCSP v2 file: the meta stream
 // (cuboid shapes, column offsets, per-cell exception lists) and the column
 // arena (the relocated sealed forms themselves). The checkpoint framing —
-// header, CRCs, resume section — lives in stream/checkpoint.cc and
-// store/mapped_cube.cc; this layer only sees the two section payloads.
+// header, CRCs, resume section — lives in store/format.h,
+// stream/checkpoint.cc and store/mapped_cube.cc; this layer only sees the
+// two section payloads.
 //
 // Per cuboid, the arena carries 15 columns in a fixed order, each aligned
 // to its element type (see ExpectedCuboidLayout). Cells appear in sorted
@@ -27,6 +29,20 @@ namespace flowcube {
 // through subspans at its node_begin range while viewing the child/duration
 // arenas whole, so the sealed accessor arithmetic is unchanged. Child and
 // parent VALUES stay graph-local node ids.
+
+// The exception block of one flowgraph: u64 count, then per exception u8
+// kind, u64 condition length, (u32 node, i64 duration) per condition, u32
+// node, u32 transition target, i64 duration value, f64 global and
+// conditional probability, u32 condition support. FCSP v2 stores one per
+// cell in the meta stream and the shard wire (serve/shard_codec.h) closes
+// every flowgraph with one. Decoding bounds every node reference by
+// `num_nodes` and rejects non-finite probabilities; `corrupt` turns a
+// message into the caller's error Status.
+void EncodeExceptionBlock(const std::vector<FlowException>& exceptions,
+                          ByteWriter* w);
+Status DecodeExceptionBlock(ByteReader* r, uint64_t num_nodes,
+                            Status (*corrupt)(const char*),
+                            std::vector<FlowException>* out);
 
 // Element counts of one cuboid's columns.
 struct CuboidCounts {

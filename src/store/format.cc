@@ -1,5 +1,7 @@
 #include "store/format.h"
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/logging.h"
@@ -42,7 +44,9 @@ std::string EncodeV2Header(const FcspV2Header& h) {
   return bytes;
 }
 
-Status ValidateV2Header(std::string_view bytes, FcspV2Header* out) {
+Status ValidateV2Image(std::string_view bytes,
+                       std::optional<uint32_t> fingerprint, bool verify_crc,
+                       FcspV2Header* out) {
   if (bytes.size() < kFcspV2HeaderSize) return Corrupt("truncated header");
   ByteReader r(bytes.substr(0, kFcspV2HeaderSize));
   uint32_t magic = 0;
@@ -119,18 +123,54 @@ Status ValidateV2Header(std::string_view bytes, FcspV2Header* out) {
   for (uint64_t i = kFcspV2HeaderSize + h.meta_size; i < h.arena_offset; ++i) {
     if (bytes[i] != 0) return Corrupt("nonzero padding between sections");
   }
+
+  if (fingerprint.has_value() && h.config_fingerprint != *fingerprint) {
+    return Status::InvalidArgument(
+        "checkpoint was written with a different schema, plan, or options");
+  }
+  if (verify_crc) {
+    if (Crc32(bytes.substr(h.meta_offset, h.meta_size)) != h.meta_crc) {
+      return Corrupt("meta checksum mismatch");
+    }
+    if (Crc32(bytes.substr(h.arena_offset, h.arena_size)) != h.arena_crc) {
+      return Corrupt("arena checksum mismatch");
+    }
+    if (h.resume_size != 0 &&
+        Crc32(bytes.substr(h.resume_offset, h.resume_size)) != h.resume_crc) {
+      return Corrupt("resume checksum mismatch");
+    }
+  }
   if (out != nullptr) *out = h;
   return Status::OK();
 }
 
-bool PeekFcspVersion(std::string_view bytes, uint32_t* version) {
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  uint32_t v = 0;
-  if (!r.U32(&magic).ok() || magic != kFcspMagic) return false;
-  if (!r.U32(&v).ok()) return false;
-  if (version != nullptr) *version = v;
-  return true;
+Result<std::string> ReadCheckpointFile(const std::string& filename) {
+  std::ifstream in(filename, std::ios::binary);
+  if (!in.is_open()) {
+    return Status::NotFound("cannot open " + filename);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (!in.good() && !in.eof()) {
+    return Status::Internal("checkpoint read failed");
+  }
+  return buffer.str();
+}
+
+Result<CheckpointFileInfo> InspectCheckpointFile(const std::string& filename) {
+  Result<std::string> bytes = ReadCheckpointFile(filename);
+  if (!bytes.ok()) return bytes.status();
+  FcspV2Header h;
+  FC_RETURN_IF_ERROR(ValidateV2Image(bytes.value(), std::nullopt,
+                                     /*verify_crc=*/true, &h));
+  CheckpointFileInfo info;
+  info.file_size = h.file_size;
+  info.config_fingerprint = h.config_fingerprint;
+  info.live_records = h.live_records;
+  info.meta_size = h.meta_size;
+  info.arena_size = h.arena_size;
+  info.resume_size = h.resume_size;
+  return info;
 }
 
 uint32_t CheckpointConfigFingerprint(const PathSchema& schema,

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -13,12 +14,12 @@
 
 namespace flowcube {
 
-// FCSP v2: the out-of-core checkpoint layout (DESIGN.md §16). Where v1
-// stores a field-by-field serialization that must be decoded into freshly
-// allocated structures, the v2 payload *is* the sealed columnar arenas —
-// every internal pointer rewritten as a base-relative u64 offset into one
-// aligned, CRC-protected blob — so a loader can mmap the file and serve
-// queries straight out of the mapping (store/mapped_cube.h).
+// FCSP v2: the checkpoint layout (DESIGN.md §16). The payload *is* the
+// sealed columnar arenas — every internal pointer rewritten as a
+// base-relative u64 offset into one aligned, CRC-protected blob — so a
+// loader can mmap the file and serve queries straight out of the mapping
+// (store/mapped_cube.h), and a pipeline restore (stream/checkpoint.h)
+// views the same columns instead of decoding them.
 //
 // File layout (all integers little-endian; offsets from the file start):
 //
@@ -33,8 +34,8 @@ namespace flowcube {
 //                           ingestor state (absent in cube-only files)
 //
 // Header fields (byte offset, type):
-//    0  u32  magic "FCSP" (shared with v1)
-//    4  u32  version = 2
+//    0  u32  magic "FCSP"
+//    4  u32  version = 2 (every other value is rejected)
 //    8  u32  header CRC-32 of bytes [12, 96)
 //   12  u32  config fingerprint (schema shape + plan + options)
 //   16  u64  file size
@@ -57,9 +58,7 @@ namespace flowcube {
 // (cube_codec.h). Validation enforces canonical form, which is what makes
 // "decode then re-encode" byte-identical — the fuzz oracle's fixed point.
 
-// "FCSP", same magic as v1 (stream/checkpoint.h kCheckpointMagic).
-inline constexpr uint32_t kFcspMagic = 0x50534346;
-inline constexpr uint32_t kFcspFormatV1 = 1;
+inline constexpr uint32_t kFcspMagic = 0x50534346;  // "FCSP"
 inline constexpr uint32_t kFcspFormatV2 = 2;
 inline constexpr size_t kFcspV2HeaderSize = 96;
 inline constexpr size_t kFcspArenaAlignment = 64;
@@ -102,23 +101,40 @@ struct FcspV2Header {
 // Serializes the fixed 96-byte header, computing the header CRC.
 std::string EncodeV2Header(const FcspV2Header& h);
 
-// Parses the header of a v2 file and validates everything that does not
-// require reading the sections: magic, version, header CRC, declared file
-// size against bytes.size(), canonical section layout (meta at 96,
-// 64-aligned arena immediately after, resume last or absent), zeroed
-// inter-section padding, and the reserved word. Section CRCs are the
-// caller's call (MappedCubeOptions::verify_crc / the strict restore path).
-// Every failure is an InvalidArgument with a distinct message.
-Status ValidateV2Header(std::string_view bytes, FcspV2Header* out);
+// The one validation every reader of a v2 image runs before parsing a
+// section: magic, version, header CRC, declared file size against
+// bytes.size(), canonical section layout (meta at 96, 64-aligned arena
+// immediately after, resume last or absent), zeroed inter-section padding,
+// the reserved word; then the config fingerprint when `fingerprint` is
+// given (schema-free inspection passes nullopt); then, when `verify_crc`,
+// the meta, arena and resume CRCs in that order. Every failure is an
+// InvalidArgument with a distinct message.
+Status ValidateV2Image(std::string_view bytes,
+                       std::optional<uint32_t> fingerprint, bool verify_crc,
+                       FcspV2Header* out);
 
-// Reads the magic/version prefix without validating anything else. False
-// when `bytes` is too short or the magic does not match.
-bool PeekFcspVersion(std::string_view bytes, uint32_t* version);
+// Reads a whole checkpoint file: NotFound when it cannot be opened,
+// Internal when the read fails.
+Result<std::string> ReadCheckpointFile(const std::string& filename);
+
+// Schema-free summary of a checkpoint file — what `fcsp_tool info` prints.
+struct CheckpointFileInfo {
+  uint64_t file_size = 0;
+  uint32_t config_fingerprint = 0;
+  uint64_t live_records = 0;
+  uint64_t meta_size = 0;
+  uint64_t arena_size = 0;
+  uint64_t resume_size = 0;  // 0 for a cube-only file
+};
+
+// Runs ValidateV2Image over `filename` with every CRC verified but no
+// fingerprint, so a checkpoint can be inspected without the writer's
+// schema, plan and options. Builds no cube.
+Result<CheckpointFileInfo> InspectCheckpointFile(const std::string& filename);
 
 // Fingerprint of (schema shape, plan, maintainer options) — the config a
-// checkpoint is only valid against. Shared by v1 (in the payload) and v2
-// (in the header); the byte recipe must never change, or existing
-// checkpoints stop validating.
+// checkpoint is only valid against, stored in the header. The byte recipe
+// must never change, or existing checkpoints stop validating.
 uint32_t CheckpointConfigFingerprint(const PathSchema& schema,
                                      const FlowCubePlan& plan,
                                      const IncrementalMaintainerOptions& opts);

@@ -8,8 +8,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -70,31 +68,14 @@ Result<std::shared_ptr<const MappedCube>> MappedCube::Build(
   const std::string_view bytes = mapping->view();
 
   FcspV2Header header;
-  FC_RETURN_IF_ERROR(ValidateV2Header(bytes, &header));
-  if (header.config_fingerprint !=
-      CheckpointConfigFingerprint(*schema, plan, options)) {
-    return Status::InvalidArgument(
-        "checkpoint was written with a different schema, plan, or options");
-  }
+  FC_RETURN_IF_ERROR(ValidateV2Image(
+      bytes, CheckpointConfigFingerprint(*schema, plan, options),
+      mopts.verify_crc, &header));
 
   const std::string_view meta =
       bytes.substr(header.meta_offset, header.meta_size);
   const std::string_view arena =
       bytes.substr(header.arena_offset, header.arena_size);
-  if (mopts.verify_crc) {
-    if (Crc32(meta) != header.meta_crc) {
-      return Corrupt("meta checksum mismatch");
-    }
-    if (Crc32(arena) != header.arena_crc) {
-      return Corrupt("arena checksum mismatch");
-    }
-    if (header.resume_size != 0 &&
-        Crc32(bytes.substr(header.resume_offset, header.resume_size)) !=
-            header.resume_crc) {
-      return Corrupt("resume checksum mismatch");
-    }
-  }
-
   Result<FlowCube> cube = BuildCubeFromSections(
       meta, arena, mapping, std::move(schema), plan, options);
   if (!cube.ok()) return cube.status();
@@ -144,18 +125,13 @@ Result<std::shared_ptr<const MappedCube>> MappedCube::Load(
     mapping->data = static_cast<const char*>(base);
     m_bytes.Add(static_cast<int64_t>(mapping->size));
   } else {
-    std::ifstream in(filename, std::ios::binary);
-    if (!in.is_open()) {
+    Result<std::string> bytes = ReadCheckpointFile(filename);
+    if (!bytes.ok()) {
       m_failures.Increment();
-      return Status::NotFound("cannot open " + filename);
+      return bytes.status();
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
-      m_failures.Increment();
-      return Status::Internal("checkpoint read failed");
-    }
-    mapping->heap = std::make_shared<const std::string>(buffer.str());
+    mapping->heap = std::make_shared<const std::string>(
+        std::move(bytes).value());
     mapping->data = mapping->heap->data();
     mapping->size = mapping->heap->size();
   }

@@ -42,9 +42,9 @@ struct MappedCubeOptions {
 // maintainer pipeline from a v2 file.
 class MappedCube : public std::enable_shared_from_this<MappedCube> {
  public:
-  // Maps `filename` and validates it: v2 header (canonical layout, header
-  // CRC), config fingerprint against (schema, plan, options), section CRCs
-  // (when opts.verify_crc), and the full structural walk of
+  // Maps `filename` and validates it: ValidateV2Image (header, config
+  // fingerprint against (schema, plan, options), section CRCs when
+  // opts.verify_crc), then the full structural walk of
   // BuildCubeFromSections — the structural pass always runs, so a load that
   // skips CRCs still cannot be driven out of bounds by a corrupt file.
   static Result<std::shared_ptr<const MappedCube>> Load(

@@ -1,19 +1,12 @@
 #include "stream/checkpoint.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "flowgraph/flowgraph.h"
 #include "io/binary_io.h"
 #include "path/path_database.h"
 #include "store/arena_writer.h"
@@ -25,10 +18,6 @@ namespace flowcube {
 namespace {
 
 Status Corrupt(const char* what) {
-  return Status::InvalidArgument(std::string("corrupt checkpoint: ") + what);
-}
-
-Status CorruptV2(const char* what) {
   return Status::InvalidArgument(std::string("corrupt v2 checkpoint: ") +
                                  what);
 }
@@ -75,9 +64,8 @@ Status DecodeRecord(ByteReader* r, PathRecord* rec) {
   return Status::OK();
 }
 
-// Optional-ingestor tail shared byte-for-byte by the v1 payload and the v2
-// resume section: u8 presence flag, then registrations, open readings,
-// watermark, batch count.
+// Optional-ingestor tail closing the resume section: u8 presence flag, then
+// registrations, open readings, watermark, batch count.
 void EncodeIngestorTail(const IngestorState* ing, ByteWriter* w) {
   w->U8(ing != nullptr ? 1 : 0);
   if (ing != nullptr) {
@@ -101,53 +89,42 @@ void EncodeIngestorTail(const IngestorState* ing, ByteWriter* w) {
   }
 }
 
-// Decoder for the same tail; `corrupt` supplies the version-specific error
-// prefix so v1 messages stay exactly as they were.
 Status DecodeIngestorTail(ByteReader* r, const PathSchema& s,
-                          std::optional<IngestorState>* out,
-                          Status (*corrupt)(const char*)) {
-  auto read_count = [&](uint64_t* count) -> Status {
-    FC_RETURN_IF_ERROR(r->U64(count));
-    if (*count > r->remaining()) {
-      return corrupt("element count exceeds payload size");
-    }
-    return Status::OK();
-  };
-
+                          std::optional<IngestorState>* out) {
   uint8_t has_ingestor = 0;
   FC_RETURN_IF_ERROR(r->U8(&has_ingestor));
-  if (has_ingestor > 1) return corrupt("ingestor flag out of range");
+  if (has_ingestor > 1) return Corrupt("ingestor flag out of range");
   if (has_ingestor == 0) return Status::OK();
 
   IngestorState state;
   uint64_t num_regs = 0;
-  FC_RETURN_IF_ERROR(read_count(&num_regs));
+  FC_RETURN_IF_ERROR(ReadCount(r, &num_regs));
   for (uint64_t i = 0; i < num_regs; ++i) {
     uint64_t epc = 0;
     FC_RETURN_IF_ERROR(r->U64(&epc));
     uint64_t num_dims = 0;
-    FC_RETURN_IF_ERROR(read_count(&num_dims));
+    FC_RETURN_IF_ERROR(ReadCount(r, &num_dims));
     if (num_dims != s.num_dimensions()) {
-      return corrupt("registration dimension count mismatch");
+      return Corrupt("registration dimension count mismatch");
     }
     std::vector<NodeId> dims;
     for (uint64_t d = 0; d < num_dims; ++d) {
       uint32_t v = 0;
       FC_RETURN_IF_ERROR(r->U32(&v));
       if (v >= s.dimensions[d].NodeCount()) {
-        return corrupt("registration dimension value out of range");
+        return Corrupt("registration dimension value out of range");
       }
       dims.push_back(v);
     }
     state.registrations[epc] = std::move(dims);
   }
   uint64_t num_open = 0;
-  FC_RETURN_IF_ERROR(read_count(&num_open));
+  FC_RETURN_IF_ERROR(ReadCount(r, &num_open));
   for (uint64_t i = 0; i < num_open; ++i) {
     uint64_t epc = 0;
     FC_RETURN_IF_ERROR(r->U64(&epc));
     uint64_t num_readings = 0;
-    FC_RETURN_IF_ERROR(read_count(&num_readings));
+    FC_RETURN_IF_ERROR(ReadCount(r, &num_readings));
     std::vector<RawReading>& readings = state.open_readings[epc];
     for (uint64_t j = 0; j < num_readings; ++j) {
       RawReading reading;
@@ -155,7 +132,7 @@ Status DecodeIngestorTail(ByteReader* r, const PathSchema& s,
       FC_RETURN_IF_ERROR(r->U32(&reading.location));
       FC_RETURN_IF_ERROR(r->I64(&reading.timestamp));
       if (reading.location >= s.locations.NodeCount()) {
-        return corrupt("buffered reading location out of range");
+        return Corrupt("buffered reading location out of range");
       }
       readings.push_back(reading);
     }
@@ -168,204 +145,12 @@ Status DecodeIngestorTail(ByteReader* r, const PathSchema& s,
 
 }  // namespace
 
-// Serializes FlowGraph node tables verbatim — children order, sorted
-// duration counts, and the exception list included — so a restored graph
-// renders byte-identically under DumpFlowCube. Reads through the accessor
-// API (both storage forms encode identically); decoding accumulates into
-// the mutable form and seals the finished graph. Friend of FlowGraph.
-struct FlowGraphSerializer {
-  static void Encode(const FlowGraph& g, ByteWriter* w) {
-    w->U64(g.num_nodes());
-    for (FlowNodeId n = 0; n < g.num_nodes(); ++n) {
-      w->U32(g.location(n));
-      w->U32(g.parent(n));
-      w->U32(static_cast<uint32_t>(g.depth(n)));
-      const auto children = g.children(n);
-      w->U64(children.size());
-      for (FlowNodeId c : children) w->U32(c);
-      w->U32(g.path_count(n));
-      w->U32(g.terminate_count(n));
-      const auto durations = g.duration_counts(n);
-      w->U64(durations.size());
-      for (const DurationCount& dc : durations) {
-        w->I64(dc.duration);
-        w->U32(dc.count);
-      }
-    }
-    w->U64(g.exceptions_.size());
-    for (const FlowException& e : g.exceptions_) {
-      w->U8(e.kind == FlowException::Kind::kTransition ? 0 : 1);
-      w->U64(e.condition.size());
-      for (const StageCondition& c : e.condition) {
-        w->U32(c.node);
-        w->I64(c.duration);
-      }
-      w->U32(e.node);
-      w->U32(e.transition_target);
-      w->I64(e.duration_value);
-      w->F64(e.global_probability);
-      w->F64(e.conditional_probability);
-      w->U32(e.condition_support);
-    }
-  }
-
-  static Status Decode(ByteReader* r, const PathSchema& schema, FlowGraph* g) {
-    uint64_t num_nodes = 0;
-    FC_RETURN_IF_ERROR(ReadCount(r, &num_nodes));
-    if (num_nodes < 1) return Corrupt("flowgraph has no root node");
-    g->nodes_.clear();
-    g->exceptions_.clear();
-    for (uint64_t i = 0; i < num_nodes; ++i) {
-      FlowGraph::Node n;
-      uint32_t depth = 0;
-      FC_RETURN_IF_ERROR(r->U32(&n.location));
-      FC_RETURN_IF_ERROR(r->U32(&n.parent));
-      FC_RETURN_IF_ERROR(r->U32(&depth));
-      n.depth = static_cast<int>(depth);
-      if (i == 0) {
-        if (n.location != kInvalidNode || n.parent != FlowGraph::kRoot ||
-            n.depth != 0) {
-          return Corrupt("malformed flowgraph root");
-        }
-      } else {
-        if (n.location >= schema.locations.NodeCount()) {
-          return Corrupt("flowgraph node location out of range");
-        }
-        // Nodes are created parents-first, so a well-formed table has
-        // parent < node < children — which also rules out cycles.
-        if (n.parent >= i) return Corrupt("flowgraph parent out of order");
-        if (n.depth != g->nodes_[n.parent].depth + 1) {
-          return Corrupt("flowgraph node depth mismatch");
-        }
-      }
-      uint64_t num_children = 0;
-      FC_RETURN_IF_ERROR(ReadCount(r, &num_children));
-      for (uint64_t c = 0; c < num_children; ++c) {
-        uint32_t child = 0;
-        FC_RETURN_IF_ERROR(r->U32(&child));
-        if (child <= i || child >= num_nodes) {
-          return Corrupt("flowgraph child id out of order");
-        }
-        n.children.push_back(child);
-      }
-      FC_RETURN_IF_ERROR(r->U32(&n.path_count));
-      FC_RETURN_IF_ERROR(r->U32(&n.terminate_count));
-      uint64_t num_durations = 0;
-      FC_RETURN_IF_ERROR(ReadCount(r, &num_durations));
-      Duration prev = std::numeric_limits<Duration>::min();
-      for (uint64_t d = 0; d < num_durations; ++d) {
-        Duration value = 0;
-        uint32_t count = 0;
-        FC_RETURN_IF_ERROR(r->I64(&value));
-        FC_RETURN_IF_ERROR(r->U32(&count));
-        if (d > 0 && value <= prev) {
-          return Corrupt("flowgraph duration counts out of order");
-        }
-        prev = value;
-        n.duration_counts.push_back(DurationCount{value, count});
-      }
-      g->nodes_.push_back(std::move(n));
-    }
-    uint64_t num_exceptions = 0;
-    FC_RETURN_IF_ERROR(ReadCount(r, &num_exceptions));
-    for (uint64_t i = 0; i < num_exceptions; ++i) {
-      FlowException e;
-      uint8_t kind = 0;
-      FC_RETURN_IF_ERROR(r->U8(&kind));
-      if (kind > 1) return Corrupt("unknown exception kind");
-      e.kind = kind == 0 ? FlowException::Kind::kTransition
-                         : FlowException::Kind::kDuration;
-      uint64_t num_conditions = 0;
-      FC_RETURN_IF_ERROR(ReadCount(r, &num_conditions));
-      for (uint64_t c = 0; c < num_conditions; ++c) {
-        StageCondition cond;
-        FC_RETURN_IF_ERROR(r->U32(&cond.node));
-        FC_RETURN_IF_ERROR(r->I64(&cond.duration));
-        if (cond.node >= num_nodes) {
-          return Corrupt("exception condition node out of range");
-        }
-        e.condition.push_back(cond);
-      }
-      FC_RETURN_IF_ERROR(r->U32(&e.node));
-      FC_RETURN_IF_ERROR(r->U32(&e.transition_target));
-      FC_RETURN_IF_ERROR(r->I64(&e.duration_value));
-      FC_RETURN_IF_ERROR(r->F64(&e.global_probability));
-      FC_RETURN_IF_ERROR(r->F64(&e.conditional_probability));
-      FC_RETURN_IF_ERROR(r->U32(&e.condition_support));
-      if (e.node >= num_nodes) return Corrupt("exception node out of range");
-      if (e.transition_target != FlowGraph::kTerminate &&
-          e.transition_target >= num_nodes) {
-        return Corrupt("exception transition target out of range");
-      }
-      if (!std::isfinite(e.global_probability) ||
-          !std::isfinite(e.conditional_probability)) {
-        return Corrupt("exception probability is not finite");
-      }
-      g->exceptions_.push_back(std::move(e));
-    }
-    // Cube-resident graphs are sealed everywhere (batch build, stream
-    // re-seal, restore); sealing here keeps the restored cube's layout —
-    // and MemoryUsage accounting — identical to a freshly built one.
-    g->Seal();
-    return Status::OK();
-  }
-};
-
-void EncodeFlowGraph(const FlowGraph& graph, ByteWriter* writer) {
-  FlowGraphSerializer::Encode(graph, writer);
-}
-
-Status DecodeFlowGraph(ByteReader* reader, const PathSchema& schema,
-                       FlowGraph* graph) {
-  return FlowGraphSerializer::Decode(reader, schema, graph);
-}
-
 // Friend of IncrementalMaintainer: reads its private indexes to encode, and
 // rebuilds them on decode by re-appending the live records (index rebuild is
 // linear — no mining replay; the cube's cells install verbatim).
 class CheckpointCodec {
  public:
-  // The fingerprint recipe itself now lives in store/format.cc, shared by
-  // the v1 payload and the v2 header; the byte values are unchanged, so
-  // existing checkpoints keep validating.
-  static uint32_t ConfigFingerprint(const PathSchema& schema,
-                                    const FlowCubePlan& plan,
-                                    const IncrementalMaintainerOptions& opts) {
-    return CheckpointConfigFingerprint(schema, plan, opts);
-  }
-
-  static void EncodePayload(const IncrementalMaintainer& m,
-                            const IngestorState* ing, ByteWriter* w) {
-    w->U32(ConfigFingerprint(*m.schema_, m.plan_, m.options_));
-
-    const std::vector<PathRecord> live = m.LiveRecords();
-    w->U64(live.size());
-    for (const PathRecord& rec : live) EncodeRecord(rec, w);
-
-    // Cells sorted by coordinates within each cuboid, so re-encoding a
-    // restored pipeline reproduces the checkpoint byte-for-byte regardless
-    // of hash-map iteration order.
-    for (size_t i = 0; i < m.plan_.item_levels.size(); ++i) {
-      for (size_t p = 0; p < m.plan_.path_levels.size(); ++p) {
-        const Cuboid& cuboid = m.cube_.cuboid(i, p);
-        const std::vector<const FlowCell*> cells = cuboid.SortedCells();
-        w->U32(static_cast<uint32_t>(i));
-        w->U32(static_cast<uint32_t>(p));
-        w->U64(cells.size());
-        for (const FlowCell* cell : cells) {
-          w->U64(cell->dims.size());
-          for (ItemId item : cell->dims) w->U32(item);
-          w->U32(cell->support);
-          w->U8(cell->redundant ? 1 : 0);
-          FlowGraphSerializer::Encode(cell->graph, w);
-        }
-      }
-    }
-
-    EncodeIngestorTail(ing, w);
-  }
-
-  // The v2 resume section: live records then the ingestor tail. The cube
+  // The resume section: live records then the ingestor tail. The cube
   // itself lives in the meta/arena sections (store/cube_codec.h).
   static void EncodeResume(const IncrementalMaintainer& m,
                            const IngestorState* ing, ByteWriter* w) {
@@ -375,117 +160,8 @@ class CheckpointCodec {
     EncodeIngestorTail(ing, w);
   }
 
-  static Result<RestoredPipeline> DecodePayload(
-      ByteReader* r, SchemaPtr schema, FlowCubePlan plan,
-      IncrementalMaintainerOptions options) {
-    uint32_t fingerprint = 0;
-    FC_RETURN_IF_ERROR(r->U32(&fingerprint));
-    Result<IncrementalMaintainer> created = IncrementalMaintainer::Create(
-        std::move(schema), std::move(plan), options);
-    if (!created.ok()) return created.status();
-    IncrementalMaintainer m = std::move(created.value());
-    if (fingerprint != ConfigFingerprint(*m.schema_, m.plan_, m.options_)) {
-      return Status::InvalidArgument(
-          "checkpoint was written with a different schema, plan, or options");
-    }
-
-    // Live records: validated, then re-appended through the same code path
-    // as Apply, which rebuilds the transaction, aggregation, and membership
-    // indexes exactly (linear in the data — no mining runs on restore).
-    uint64_t num_records = 0;
-    FC_RETURN_IF_ERROR(ReadCount(r, &num_records));
-    std::vector<IncrementalMaintainer::KeySet> scratch_dirty(
-        m.plan_.item_levels.size());
-    for (uint64_t i = 0; i < num_records; ++i) {
-      PathRecord rec;
-      FC_RETURN_IF_ERROR(DecodeRecord(r, &rec));
-      if (const Status s = ValidateRecord(*m.schema_, rec); !s.ok()) {
-        return Corrupt("live record fails schema validation");
-      }
-      m.AppendToIndexes(rec, &scratch_dirty);
-    }
-
-    // Cube cells, installed verbatim after cross-checking each against the
-    // freshly rebuilt membership index.
-    for (size_t i = 0; i < m.plan_.item_levels.size(); ++i) {
-      for (size_t p = 0; p < m.plan_.path_levels.size(); ++p) {
-        uint32_t il_index = 0;
-        uint32_t pl_index = 0;
-        FC_RETURN_IF_ERROR(r->U32(&il_index));
-        FC_RETURN_IF_ERROR(r->U32(&pl_index));
-        if (il_index != i || pl_index != p) {
-          return Corrupt("cuboid out of order");
-        }
-        uint64_t num_cells = 0;
-        FC_RETURN_IF_ERROR(ReadCount(r, &num_cells));
-        Cuboid& cuboid = m.cube_.mutable_cuboid(i, p);
-        for (uint64_t c = 0; c < num_cells; ++c) {
-          FlowCell cell;
-          uint64_t num_items = 0;
-          FC_RETURN_IF_ERROR(ReadCount(r, &num_items));
-          for (uint64_t it = 0; it < num_items; ++it) {
-            uint32_t item = 0;
-            FC_RETURN_IF_ERROR(r->U32(&item));
-            cell.dims.push_back(item);
-          }
-          FC_RETURN_IF_ERROR(r->U32(&cell.support));
-          uint8_t redundant = 0;
-          FC_RETURN_IF_ERROR(r->U8(&redundant));
-          if (redundant > 1) return Corrupt("redundancy flag out of range");
-          cell.redundant = redundant == 1;
-          FC_RETURN_IF_ERROR(
-              FlowGraphSerializer::Decode(r, *m.schema_, &cell.graph));
-
-          const auto member = m.cells_[i].find(cell.dims);
-          if (member == m.cells_[i].end() ||
-              member->second.tids.size() != cell.support) {
-            return Corrupt("cell support disagrees with the live records");
-          }
-          const bool qualifies =
-              cell.dims.empty()
-                  ? cell.support >= 1
-                  : cell.support >= m.options_.build.min_support;
-          if (!qualifies) {
-            return Corrupt("cell below the iceberg threshold");
-          }
-          if (cell.graph.total_paths() != cell.support) {
-            return Corrupt("flowgraph path count disagrees with support");
-          }
-          if (cuboid.Find(cell.dims) != nullptr) {
-            return Corrupt("duplicate cell in cuboid");
-          }
-          member->second.materialized = true;
-          cuboid.Insert(std::move(cell));
-        }
-        if (p == 0) {
-          // Converse check: every qualifying membership key must have been
-          // installed, or the restored cube would silently miss cells.
-          for (const auto& [key, state] : m.cells_[i]) {
-            const bool qualifies =
-                key.empty() ? !state.tids.empty()
-                            : state.tids.size() >=
-                                  m.options_.build.min_support;
-            if (qualifies && !state.materialized) {
-              return Corrupt("cube is missing a qualifying cell");
-            }
-          }
-        }
-      }
-    }
-
-    RestoredPipeline restored{std::move(m), std::nullopt,
-                              kCheckpointFormatV1};
-    FC_RETURN_IF_ERROR(DecodeIngestorTail(
-        r, *restored.maintainer.schema_, &restored.ingestor_state, &Corrupt));
-
-    if (!r->AtEnd()) return Corrupt("trailing bytes after payload");
-    return restored;
-  }
-
-  // --- v2 (store/format.h layout) -----------------------------------------
-
-  static std::string EncodeV2(const IncrementalMaintainer& m,
-                              const IngestorState* ing) {
+  static std::string Encode(const IncrementalMaintainer& m,
+                            const IngestorState* ing) {
     ByteWriter meta;
     ArenaWriter arena;
     EncodeCubeSections(m.cube_, &meta, &arena);
@@ -493,7 +169,8 @@ class CheckpointCodec {
     EncodeResume(m, ing, &resume);
 
     FcspV2Header h;
-    h.config_fingerprint = ConfigFingerprint(*m.schema_, m.plan_, m.options_);
+    h.config_fingerprint =
+        CheckpointConfigFingerprint(*m.schema_, m.plan_, m.options_);
     h.meta_offset = kFcspV2HeaderSize;
     h.meta_size = meta.size();
     h.meta_crc = Crc32(meta.data());
@@ -518,37 +195,25 @@ class CheckpointCodec {
     return out;
   }
 
-  // Strict v2 restore: every CRC verified, canonical layout enforced, the
-  // cube rebuilt as views into a pinned copy of the file image, live
-  // records replayed through the same index path as Apply, and every
-  // maintainer-side invariant cross-checked exactly as in v1.
-  static Result<RestoredPipeline> DecodeV2(
-      std::string_view bytes, SchemaPtr schema, FlowCubePlan plan,
-      IncrementalMaintainerOptions options) {
-    FcspV2Header h;
-    FC_RETURN_IF_ERROR(ValidateV2Header(bytes, &h));
-    if (Crc32(bytes.substr(h.meta_offset, h.meta_size)) != h.meta_crc) {
-      return CorruptV2("meta checksum mismatch");
-    }
-    if (Crc32(bytes.substr(h.arena_offset, h.arena_size)) != h.arena_crc) {
-      return CorruptV2("arena checksum mismatch");
-    }
-    if (h.resume_size == 0) {
-      return Status::InvalidArgument(
-          "v2 checkpoint has no resume section (cube-only file)");
-    }
-    if (Crc32(bytes.substr(h.resume_offset, h.resume_size)) != h.resume_crc) {
-      return CorruptV2("resume checksum mismatch");
-    }
-
+  // Strict restore: ValidateV2Image with every CRC, the cube rebuilt as
+  // views into a pinned copy of the file image, live records replayed
+  // through the same index path as Apply, and every cell cross-checked
+  // against the rebuilt membership index.
+  static Result<RestoredPipeline> Decode(std::string_view bytes,
+                                         SchemaPtr schema, FlowCubePlan plan,
+                                         IncrementalMaintainerOptions options) {
     Result<IncrementalMaintainer> created = IncrementalMaintainer::Create(
         std::move(schema), std::move(plan), options);
     if (!created.ok()) return created.status();
     IncrementalMaintainer m = std::move(created.value());
-    if (h.config_fingerprint !=
-        ConfigFingerprint(*m.schema_, m.plan_, m.options_)) {
+
+    FcspV2Header h;
+    FC_RETURN_IF_ERROR(ValidateV2Image(
+        bytes, CheckpointConfigFingerprint(*m.schema_, m.plan_, m.options_),
+        /*verify_crc=*/true, &h));
+    if (h.resume_size == 0) {
       return Status::InvalidArgument(
-          "checkpoint was written with a different schema, plan, or options");
+          "v2 checkpoint has no resume section (cube-only file)");
     }
 
     // Pin a copy of the image; the restored graphs' columns view it, so no
@@ -566,17 +231,17 @@ class CheckpointCodec {
     uint64_t num_records = 0;
     FC_RETURN_IF_ERROR(rr.U64(&num_records));
     if (num_records != h.live_records) {
-      return CorruptV2("live record count disagrees with the header");
+      return Corrupt("live record count disagrees with the header");
     }
     std::vector<IncrementalMaintainer::KeySet> scratch_dirty(
         m.plan_.item_levels.size());
     for (uint64_t i = 0; i < num_records; ++i) {
       PathRecord rec;
       if (!DecodeRecord(&rr, &rec).ok()) {
-        return CorruptV2("malformed live record");
+        return Corrupt("malformed live record");
       }
       if (const Status s = ValidateRecord(*m.schema_, rec); !s.ok()) {
-        return CorruptV2("live record fails schema validation");
+        return Corrupt("live record fails schema validation");
       }
       m.AppendToIndexes(rec, &scratch_dirty);
     }
@@ -597,8 +262,7 @@ class CheckpointCodec {
           const auto member = m.cells_[i].find(cell.dims);
           if (member == m.cells_[i].end() ||
               member->second.tids.size() != cell.support) {
-            install =
-                CorruptV2("cell support disagrees with the live records");
+            install = Corrupt("cell support disagrees with the live records");
             return;
           }
           member->second.materialized = true;
@@ -606,60 +270,35 @@ class CheckpointCodec {
         });
         FC_RETURN_IF_ERROR(install);
         if (p == 0) {
+          // Converse check: every qualifying membership key must have been
+          // installed, or the restored cube would silently miss cells.
           for (const auto& [key, state] : m.cells_[i]) {
             const bool qualifies =
                 key.empty() ? !state.tids.empty()
                             : state.tids.size() >=
                                   m.options_.build.min_support;
             if (qualifies && !state.materialized) {
-              return CorruptV2("cube is missing a qualifying cell");
+              return Corrupt("cube is missing a qualifying cell");
             }
           }
         }
       }
     }
 
-    RestoredPipeline restored{std::move(m), std::nullopt,
-                              kCheckpointFormatV2};
+    RestoredPipeline restored{std::move(m), std::nullopt};
     FC_RETURN_IF_ERROR(DecodeIngestorTail(&rr, *restored.maintainer.schema_,
-                                          &restored.ingestor_state,
-                                          &CorruptV2));
+                                          &restored.ingestor_state));
     if (!rr.AtEnd()) {
-      return CorruptV2("trailing bytes after resume section");
+      return Corrupt("trailing bytes after resume section");
     }
     return restored;
   }
 };
 
-uint32_t DefaultCheckpointFormat() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* v = std::getenv("FLOWCUBE_CHECKPOINT_FORMAT");
-  if (v != nullptr && std::strcmp(v, "1") == 0) return kCheckpointFormatV1;
-  return kCheckpointFormatV2;
-}
-
 std::string EncodeCheckpoint(const IncrementalMaintainer& maintainer,
-                             const IngestorState* ingestor_state,
-                             uint32_t format) {
+                             const IngestorState* ingestor_state) {
   TraceSpan span("stream.checkpoint.save");
-  if (format == 0) format = DefaultCheckpointFormat();
-  FC_CHECK_MSG(
-      format == kCheckpointFormatV1 || format == kCheckpointFormatV2,
-      "unknown checkpoint format");
-
-  std::string bytes;
-  if (format == kCheckpointFormatV2) {
-    bytes = CheckpointCodec::EncodeV2(maintainer, ingestor_state);
-  } else {
-    ByteWriter payload;
-    CheckpointCodec::EncodePayload(maintainer, ingestor_state, &payload);
-    ByteWriter out;
-    out.U32(kCheckpointMagic);
-    out.U32(kCheckpointVersion);
-    out.U32(Crc32(payload.data()));
-    out.Str(payload.data());  // u64 payload size + payload bytes
-    bytes = out.data();
-  }
+  std::string bytes = CheckpointCodec::Encode(maintainer, ingestor_state);
   MetricRegistry& reg = MetricRegistry::Global();
   static Counter& m_saves = reg.counter("stream.checkpoint.saves");
   static Counter& m_bytes = reg.counter("stream.checkpoint.bytes_written");
@@ -672,36 +311,8 @@ Result<RestoredPipeline> DecodeCheckpoint(
     std::string_view bytes, SchemaPtr schema, FlowCubePlan plan,
     IncrementalMaintainerOptions options) {
   TraceSpan span("stream.checkpoint.restore");
-  ByteReader r(bytes);
-  uint32_t magic = 0;
-  if (!r.U32(&magic).ok() || magic != kCheckpointMagic) {
-    return Status::InvalidArgument("not a flowcube checkpoint (bad magic)");
-  }
-  uint32_t version = 0;
-  FC_RETURN_IF_ERROR(r.U32(&version));
-  if (version != kCheckpointFormatV1 && version != kCheckpointFormatV2) {
-    return Status::InvalidArgument("unsupported checkpoint version");
-  }
-
-  Result<RestoredPipeline> restored = Status::OK();
-  if (version == kCheckpointFormatV2) {
-    restored = CheckpointCodec::DecodeV2(bytes, std::move(schema),
-                                         std::move(plan), options);
-  } else {
-    uint32_t crc = 0;
-    FC_RETURN_IF_ERROR(r.U32(&crc));
-    std::string payload;
-    if (!r.Str(&payload).ok()) {
-      return Corrupt("payload truncated");
-    }
-    if (!r.AtEnd()) return Corrupt("trailing bytes after payload");
-    if (Crc32(payload) != crc) {
-      return Corrupt("payload checksum mismatch");
-    }
-    ByteReader pr(payload);
-    restored = CheckpointCodec::DecodePayload(&pr, std::move(schema),
-                                              std::move(plan), options);
-  }
+  Result<RestoredPipeline> restored = CheckpointCodec::Decode(
+      bytes, std::move(schema), std::move(plan), options);
   if (restored.ok()) {
     MetricRegistry::Global().counter("stream.checkpoint.restores").Increment();
   }
@@ -710,9 +321,8 @@ Result<RestoredPipeline> DecodeCheckpoint(
 
 Status SaveCheckpoint(const IncrementalMaintainer& maintainer,
                       const IngestorState* ingestor_state,
-                      const std::string& filename, uint32_t format) {
-  const std::string bytes =
-      EncodeCheckpoint(maintainer, ingestor_state, format);
+                      const std::string& filename) {
+  const std::string bytes = EncodeCheckpoint(maintainer, ingestor_state);
   std::ofstream out(filename, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) {
     return Status::Internal("cannot open " + filename + " for writing");
@@ -726,16 +336,9 @@ Status SaveCheckpoint(const IncrementalMaintainer& maintainer,
 Result<RestoredPipeline> LoadCheckpoint(const std::string& filename,
                                         SchemaPtr schema, FlowCubePlan plan,
                                         IncrementalMaintainerOptions options) {
-  std::ifstream in(filename, std::ios::binary);
-  if (!in.is_open()) {
-    return Status::NotFound("cannot open " + filename);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("checkpoint read failed");
-  }
-  return DecodeCheckpoint(buffer.str(), std::move(schema), std::move(plan),
+  Result<std::string> bytes = ReadCheckpointFile(filename);
+  if (!bytes.ok()) return bytes.status();
+  return DecodeCheckpoint(bytes.value(), std::move(schema), std::move(plan),
                           options);
 }
 

@@ -6,8 +6,6 @@
 #include <string_view>
 
 #include "common/status.h"
-#include "flowgraph/flowgraph.h"
-#include "io/binary_io.h"
 #include "stream/incremental_maintainer.h"
 #include "stream/stream_ingestor.h"
 
@@ -20,40 +18,17 @@ namespace flowcube {
 // snapshot left off — DumpFlowCube of the restored cube is byte-identical
 // to the snapshotted one, and no mining is replayed on restore.
 //
-// Two on-disk formats share the "FCSP" magic and are negotiated by the
-// version word; both are written and read here.
+// The file is FCSP v2 (store/format.h): a 96-byte header, a meta stream, a
+// 64-aligned column arena holding the cube's sealed forms with pointers
+// rewritten as base-relative offsets, and a resume section (live records +
+// ingestor state). A restore runs full CRC + structural validation, and the
+// restored cube's flowgraph columns VIEW a pinned copy of the image instead
+// of copying it; the same file can be served zero-copy by
+// store/mapped_cube.h without building a maintainer at all.
 //
-// v1 (the original field-by-field stream):
-//   u32 magic "FCSP" | u32 version=1 | u32 crc32(payload) | u64 payload size
-//   payload:
-//     u32 config fingerprint (schema shape + plan + options)
-//     live records, cube cells per cuboid, optional IngestorState
-//
-// v2 (the out-of-core relocatable layout, store/format.h): a 96-byte
-// header, a meta stream, a 64-aligned column arena holding the cube's
-// sealed forms with pointers rewritten as base-relative offsets, and a
-// resume section (live records + ingestor state). A v2 file restores here
-// with full CRC + structural validation — the restored cube's flowgraph
-// columns VIEW the checkpoint image instead of copying it — and the same
-// file can be served zero-copy by store/mapped_cube.h without building a
-// maintainer at all.
-//
-// Writers pick the format per call (or per process via the
-// FLOWCUBE_CHECKPOINT_FORMAT env knob, default v2); readers auto-detect.
-//
-// The readers are strictly bounds-checked: truncated, bit-flipped, or
+// The reader is strictly bounds-checked: truncated, bit-flipped, or
 // otherwise malformed checkpoints are rejected with a Status (never UB),
 // and CRCs catch corruption before any structure is parsed.
-
-inline constexpr uint32_t kCheckpointMagic = 0x50534346;  // "FCSP"
-inline constexpr uint32_t kCheckpointVersion = 1;
-inline constexpr uint32_t kCheckpointFormatV1 = 1;
-inline constexpr uint32_t kCheckpointFormatV2 = 2;
-
-// The format EncodeCheckpoint/SaveCheckpoint use when the caller passes
-// format 0: FLOWCUBE_CHECKPOINT_FORMAT=1 selects the v1 stream, anything
-// else (including unset) selects v2.
-uint32_t DefaultCheckpointFormat();
 
 // A restored pipeline: the maintainer is fully rebuilt; ingestor_state is
 // present when the checkpoint captured one and can seed
@@ -61,41 +36,24 @@ uint32_t DefaultCheckpointFormat();
 struct RestoredPipeline {
   IncrementalMaintainer maintainer;
   std::optional<IngestorState> ingestor_state;
-  // Format the checkpoint was read from (kCheckpointFormatV1 / V2).
-  uint32_t format = 0;
 };
 
 // Serializes the pipeline. `ingestor_state` may be null (maintainer-only
 // checkpoint); callers snapshotting a live ingestor must Flush() it first.
-// `format` is kCheckpointFormatV1, kCheckpointFormatV2, or 0 for
-// DefaultCheckpointFormat().
 std::string EncodeCheckpoint(const IncrementalMaintainer& maintainer,
-                             const IngestorState* ingestor_state = nullptr,
-                             uint32_t format = 0);
+                             const IngestorState* ingestor_state = nullptr);
 
-// Rebuilds a pipeline from checkpoint bytes (either format, auto-detected).
-// The caller supplies the same schema, plan, and options the snapshotted
-// pipeline ran with; a config fingerprint stored in the checkpoint rejects
-// mismatches.
+// Rebuilds a pipeline from checkpoint bytes. The caller supplies the same
+// schema, plan, and options the snapshotted pipeline ran with; a config
+// fingerprint stored in the checkpoint rejects mismatches.
 Result<RestoredPipeline> DecodeCheckpoint(std::string_view bytes,
                                           SchemaPtr schema, FlowCubePlan plan,
                                           IncrementalMaintainerOptions options);
 
-// Standalone flowgraph codec — the exact node-table encoding FCSP uses for
-// cube cells (children order, sorted duration counts, exceptions verbatim),
-// exposed for wire transfer of single measures (the shard layer ships
-// per-cell flowgraphs to the coordinator this way). Encoding reads through
-// the accessor API (both storage forms encode identically); decoding is
-// strictly bounds-checked, validates tree structure against `schema`, and
-// returns a sealed graph.
-void EncodeFlowGraph(const FlowGraph& graph, ByteWriter* writer);
-Status DecodeFlowGraph(ByteReader* reader, const PathSchema& schema,
-                       FlowGraph* graph);
-
 // File variants.
 Status SaveCheckpoint(const IncrementalMaintainer& maintainer,
                       const IngestorState* ingestor_state,
-                      const std::string& filename, uint32_t format = 0);
+                      const std::string& filename);
 Result<RestoredPipeline> LoadCheckpoint(const std::string& filename,
                                         SchemaPtr schema, FlowCubePlan plan,
                                         IncrementalMaintainerOptions options);

@@ -1,24 +1,19 @@
 // End-to-end test of the fcsp_tool CLI (tools/fcsp_tool.cc), driven as a
 // subprocess the way an operator runs it. The binary path comes in via the
-// FLOWCUBE_FCSP_TOOL_PATH compile definition (tests/CMakeLists.txt). The
-// core guarantee: a v1 checkpoint upgraded by the tool serves the entire
-// FCQP query surface byte-identically through the zero-copy mapped loader.
+// FLOWCUBE_FCSP_TOOL_PATH compile definition (tests/CMakeLists.txt): `info`
+// and `verify` accept a good checkpoint and fail on a corrupt one, a
+// retired-version one, a missing file, and bad usage.
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "gen/path_generator.h"
-#include "serve/query_service.h"
-#include "serve/snapshot_registry.h"
-#include "store/mapped_cube.h"
 #include "stream/checkpoint.h"
 #include "stream/incremental_maintainer.h"
 
@@ -75,134 +70,49 @@ class FcspToolTest : public ::testing::Test {
   IncrementalMaintainerOptions options_;
 };
 
-// Every request type against every materialized cell, same shape as the
-// store_test differential (trimmed: the point of this file is the CLI).
-std::vector<QueryRequest> QuerySurface(const PathDatabase& db,
-                                       const FlowCube& cube) {
-  std::vector<QueryRequest> out;
-  uint64_t id = 0;
-  const FlowCubePlan& plan = cube.plan();
-  for (size_t il = 0; il < plan.item_levels.size(); ++il) {
-    for (size_t pl = 0; pl < plan.path_levels.size(); ++pl) {
-      for (const FlowCell* cell : cube.cuboid(il, pl).SortedCells()) {
-        QueryRequest req;
-        req.request_id = ++id;
-        req.type = RequestType::kPointLookup;
-        req.pl_index = static_cast<uint32_t>(pl);
-        req.values.assign(cube.schema().num_dimensions(), "*");
-        for (ItemId item : cell->dims) {
-          const size_t d = cube.catalog().DimOf(item);
-          req.values[d] =
-              cube.schema().dimensions[d].Name(cube.catalog().NodeOf(item));
-        }
-        out.push_back(req);
-        for (uint32_t dim = 0; dim < cube.schema().num_dimensions(); ++dim) {
-          req.request_id = ++id;
-          req.type = RequestType::kDrillDown;
-          req.dim = dim;
-          out.push_back(req);
-        }
-      }
-    }
-  }
-  QueryRequest stats;
-  stats.request_id = ++id;
-  stats.type = RequestType::kStats;
-  out.push_back(stats);
-  return out;
-}
-
-TEST_F(FcspToolTest, UpgradedV1ServesByteIdenticalQueriesThroughMmap) {
-  IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string v1 = TempFile("upgrade_in_v1");
-  const std::string v2 = TempFile("upgrade_out_v2");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v1, kCheckpointFormatV1).ok());
-
-  ASSERT_EQ(RunTool("upgrade " + v1 + " " + v2), 0);
-
-  Result<std::shared_ptr<const MappedCube>> mapped =
-      MappedCube::Load(v2, db_->schema_ptr(), plan_, options_);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-  CubeSnapshot heap_snap;
-  heap_snap.epoch = 1;
-  heap_snap.records = 40;
-  heap_snap.cube = std::make_shared<const FlowCube>(m.cube().Clone());
-  CubeSnapshot mapped_snap = heap_snap;
-  mapped_snap.cube = mapped.value()->shared_cube();
-
-  const std::vector<QueryRequest> surface = QuerySurface(*db_, *heap_snap.cube);
-  ASSERT_GT(surface.size(), 10u);
-  for (const QueryRequest& req : surface) {
-    EXPECT_EQ(QueryService::ExecuteOn(heap_snap, req),
-              QueryService::ExecuteOn(mapped_snap, req))
-        << "request " << req.request_id << " diverged after CLI upgrade";
-  }
-
-  std::remove(v1.c_str());
-  std::remove(v2.c_str());
-}
-
-TEST_F(FcspToolTest, InfoAndVerifyAcceptBothFormats) {
+TEST_F(FcspToolTest, InfoAndVerifyAcceptV2) {
   IncrementalMaintainer m = MakeMaintainer(24);
-  const std::string v1 = TempFile("cli_v1");
   const std::string v2 = TempFile("cli_v2");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v1, kCheckpointFormatV1).ok());
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v2, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v2).ok());
 
-  EXPECT_EQ(RunTool("info " + v1), 0);
   EXPECT_EQ(RunTool("info " + v2), 0);
-  EXPECT_EQ(RunTool("verify " + v1), 0);
   EXPECT_EQ(RunTool("verify " + v2), 0);
 
-  std::remove(v1.c_str());
   std::remove(v2.c_str());
 }
 
 TEST_F(FcspToolTest, RejectsCorruptFilesAndBadUsage) {
   IncrementalMaintainer m = MakeMaintainer(24);
   const std::string v2 = TempFile("cli_corrupt");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v2, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v2).ok());
   std::string bytes;
   {
     std::ifstream in(v2, std::ios::binary);
     bytes.assign((std::istreambuf_iterator<char>(in)),
                  std::istreambuf_iterator<char>());
   }
-  bytes[bytes.size() / 2] ^= 0x01;
-  {
+  auto write = [&v2](const std::string& contents) {
     std::ofstream out(v2, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+    out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  };
 
+  // The version word is outside the header CRC: set to 1 (the retired
+  // record-log format), the file must still be refused.
+  std::string retired = bytes;
+  retired[4] = 1;
+  write(retired);
+  EXPECT_NE(RunTool("info " + v2), 0);
+  EXPECT_NE(RunTool("verify " + v2), 0);
+
+  bytes[bytes.size() / 2] ^= 0x01;
+  write(bytes);
   EXPECT_NE(RunTool("info " + v2), 0);
   EXPECT_NE(RunTool("verify " + v2), 0);
   EXPECT_NE(RunTool("info " + TempFile("does_not_exist")), 0);
   EXPECT_NE(RunTool("frobnicate " + v2), 0);
-  EXPECT_NE(RunTool("upgrade " + v2), 0);  // missing output operand
+  EXPECT_NE(RunTool("verify " + v2 + " " + v2), 0);  // extra operand
 
   std::remove(v2.c_str());
-}
-
-// Upgrading a v2 file to v2 is a canonicalizing no-op: the output bytes
-// equal the input bytes (decode∘encode is the identity on v2).
-TEST_F(FcspToolTest, UpgradeOfV2IsIdempotent) {
-  IncrementalMaintainer m = MakeMaintainer(24);
-  const std::string in = TempFile("idem_in");
-  const std::string out = TempFile("idem_out");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, in, kCheckpointFormatV2).ok());
-  ASSERT_EQ(RunTool("upgrade " + in + " " + out), 0);
-
-  std::ifstream a(in, std::ios::binary);
-  std::ifstream b(out, std::ios::binary);
-  const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                            std::istreambuf_iterator<char>());
-  const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                            std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
-
-  std::remove(in.c_str());
-  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -244,9 +244,62 @@ TEST_F(FlowCubeTest, ApexIsNeverRedundant) {
 }
 
 TEST_F(FlowCubeTest, ExceptionsAttachedToCellGraphs) {
-  EXPECT_GE(stats_.exceptions_found, 0u);
-  EXPECT_GT(stats_.cells_materialized, 0u);
+  // Every exception the build reports is attached to a cell's graph.
+  size_t attached = 0;
+  size_t cells = 0;
+  cube_->ForEachCuboid([&](const Cuboid& cuboid) {
+    cuboid.ForEach([&](const FlowCell& cell) {
+      attached += cell.graph.exceptions().size();
+      ++cells;
+    });
+  });
+  EXPECT_EQ(stats_.exceptions_found, attached);
+  EXPECT_EQ(stats_.cells_materialized, cells);
   EXPECT_GT(stats_.mining.TotalCandidates(), 0u);
+
+  // (shoes, nike) at path level 0 (leaf locations, raw durations) holds
+  // Table 1's records 1-3:
+  //   1 (f,10)(d,2)(t,1)(s,5)(c,0)
+  //   2 (f,5)(d,2)(t,1)(s,10)(c,0)
+  //   3 (f,10)(d,1)(t,2)(s,5)(c,0)
+  // One chain f-d-t-s-c, so every transition has probability 1 globally
+  // and under any condition: no transition exceptions. Durations: f {10:2,
+  // 5:1}, d {2:2, 1:1}, t {1:2, 2:1}, s {5:2, 10:1}, c {0:3}. The stage
+  // patterns with support >= delta=2 match one of {1,3}, {1,2}, {1,2,3}:
+  //   (f,10) -> {1,3}: d durations {2,1}, 1/2 each vs 2/3, 1/3: |dev| 1/6.
+  //   (d,2) and (d,2)(t,1) -> {1,2}: t durations {1,1} vs 2/3, 1/3 -> two
+  //     exceptions of |dev| 1/3 >= eps=0.2 at t under (d,2); the (d,2)(t,1)
+  //     pattern conditions s: {5,10}, 1/2 each vs 2/3, 1/3: |dev| 1/6.
+  //   (t,1) -> {1,2}: s as above, 1/6.
+  //   (s,5), (f,10)(s,5) -> {1,3}: c {0,0} = global.
+  //   patterns ending at c condition nothing below it.
+  // So exactly two duration exceptions, both at t given d=2 (2 paths):
+  // duration 1 rises from 2/3 to 1, duration 2 falls from 1/3 to 0.
+  FlowCubeQuery query(cube_.get());
+  const Result<CellRef> shoes = query.Cell({"shoes", "nike"}, 0);
+  ASSERT_TRUE(shoes.ok());
+  const FlowGraph& g = shoes->cell->graph;
+  EXPECT_EQ(shoes->cell->support, 3u);
+  ASSERT_EQ(g.num_nodes(), 6u);  // root + f, d, t, s, c
+  const ConceptHierarchy& loc = db_.schema().locations;
+  const FlowNodeId d = 2;
+  const FlowNodeId t = 3;
+  EXPECT_EQ(g.location(d), loc.Find("dist.center").value());
+  EXPECT_EQ(g.location(t), loc.Find("truck").value());
+  ASSERT_EQ(g.exceptions().size(), 2u);
+  const Duration expected_duration[] = {1, 2};
+  const double expected_global[] = {2.0 / 3.0, 1.0 / 3.0};
+  const double expected_conditional[] = {1.0, 0.0};
+  for (size_t i = 0; i < 2; ++i) {
+    const FlowException& e = g.exceptions()[i];
+    EXPECT_EQ(e.kind, FlowException::Kind::kDuration);
+    EXPECT_EQ(e.condition, (std::vector<StageCondition>{{d, 2}}));
+    EXPECT_EQ(e.node, t);
+    EXPECT_EQ(e.duration_value, expected_duration[i]);
+    EXPECT_DOUBLE_EQ(e.global_probability, expected_global[i]);
+    EXPECT_DOUBLE_EQ(e.conditional_probability, expected_conditional[i]);
+    EXPECT_EQ(e.condition_support, 2u);
+  }
 }
 
 TEST_F(FlowCubeTest, CellNameRendersStarsForMissingDims) {

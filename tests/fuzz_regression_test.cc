@@ -59,12 +59,12 @@ TEST(FuzzRegressionTest, TextIoCorpusReplaysCleanly) {
   Replay("text_io", &FuzzTextIo);
 }
 
-TEST(FuzzRegressionTest, CheckpointCorpusReplaysCleanly) {
-  Replay("checkpoint", &FuzzCheckpoint);
-}
-
 TEST(FuzzRegressionTest, FcspV2CorpusReplaysCleanly) {
   Replay("fcsp_v2", &FuzzFcspV2);
+}
+
+TEST(FuzzRegressionTest, ShardBodyCorpusReplaysCleanly) {
+  Replay("shard_body", &FuzzShardBody);
 }
 
 TEST(FuzzRegressionTest, ServeFrameCorpusReplaysCleanly) {

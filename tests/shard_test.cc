@@ -18,6 +18,7 @@
 #include "flowcube/builder.h"
 #include "flowcube/dump.h"
 #include "gen/path_generator.h"
+#include "io/binary_io.h"
 #include "path/path_database.h"
 #include "serve/query_service.h"
 #include "shard/backend.h"
@@ -384,6 +385,117 @@ TEST(ShardCoordinatorTest, DeadShardSurfacesAsPartialFailureStatus) {
   EXPECT_TRUE(result.response.body.empty());
   // Shard 0 answered before the failure: the epoch vector is partial.
   EXPECT_EQ(result.epochs.size(), 1u);
+}
+
+// A backend whose shards answer every request with fixed, hand-written
+// bodies, so the coordinator's decode and merge checks see exactly them.
+class CraftedBodyBackend : public ShardBackend {
+ public:
+  explicit CraftedBodyBackend(std::vector<std::string> bodies)
+      : bodies_(std::move(bodies)) {}
+  Result<QueryResponse> Call(size_t shard,
+                             const QueryRequest& request) override {
+    QueryResponse response;
+    response.request_id = request.request_id;
+    response.epoch = 1;
+    response.body = bodies_[shard];
+    return response;
+  }
+  size_t num_shards() const override { return bodies_.size(); }
+
+ private:
+  std::vector<std::string> bodies_;
+};
+
+// Appends a (support, flowgraph) cell entry (serve/shard_codec.h) whose
+// flowgraph is a bare root on which all `paths` paths terminate.
+void PutRootOnlyCell(uint32_t support, uint32_t paths, ByteWriter* w) {
+  w->U32(support);
+  w->U64(1);  // node count
+  w->U32(kInvalidNode);
+  w->U32(FlowGraph::kRoot);
+  w->U32(0);  // depth
+  w->U64(0);  // children
+  w->U32(paths);
+  w->U32(paths);  // terminate count
+  w->U64(0);      // duration entries
+  w->U64(0);      // exceptions
+}
+
+// A kCellFetchBatch body of `count` found cells, each as above.
+std::string CellFetchBody(uint32_t count, uint32_t support, uint32_t paths) {
+  ByteWriter w;
+  w.U32(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    w.U8(1);
+    PutRootOnlyCell(support, paths, &w);
+  }
+  return w.data();
+}
+
+TEST(ShardCoordinatorTest, RejectsMalformedAndOverflowingShardBodies) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(1);
+  const FlowCubePlan plan = FlowCubePlan::Default(db.schema()).value();
+  ShardCoordinatorOptions options;
+  options.min_support = GlobalOptions().min_support;
+  const auto execute = [&](std::vector<std::string> bodies,
+                           const QueryRequest& request) {
+    CraftedBodyBackend backend(std::move(bodies));
+    const ShardCoordinator coordinator(db.schema_ptr(), plan, &backend,
+                                       options);
+    return coordinator.Execute(request).response;
+  };
+  QueryRequest apex;
+  apex.type = RequestType::kPointLookup;
+  apex.values = {"*", "*"};
+
+  // Control: well-formed bodies from two shards merge and render.
+  const std::string good = CellFetchBody(1, 3, 3);
+  QueryResponse r = execute({good, good}, apex);
+  ASSERT_EQ(r.code, Status::Code::kOk) << r.message;
+  EXPECT_NE(r.body.find("support=6"), std::string::npos) << r.body;
+
+  const std::string malformed = "shard 1: malformed internal response body";
+  // A support the cell's own flowgraph does not carry.
+  r = execute({good, CellFetchBody(1, 3, 2)}, apex);
+  EXPECT_EQ(r.code, Status::Code::kInternal);
+  EXPECT_EQ(r.message, malformed);
+  // A truncated body.
+  r = execute({good, good.substr(0, good.size() - 1)}, apex);
+  EXPECT_EQ(r.code, Status::Code::kInternal);
+  EXPECT_EQ(r.message, malformed);
+  // An answer for two cells to a request for one.
+  r = execute({good, CellFetchBody(2, 3, 3)}, apex);
+  EXPECT_EQ(r.code, Status::Code::kInternal);
+  EXPECT_EQ(r.message, malformed);
+
+  // Supports that are each valid but sum past the u32 range of a rendered
+  // cell: refused instead of wrapping.
+  const std::string half = CellFetchBody(1, 1u << 31, 1u << 31);
+  r = execute({half, half}, apex);
+  EXPECT_EQ(r.code, Status::Code::kInternal);
+  EXPECT_EQ(r.message, "cell (*, *): merged support exceeds the u32 range");
+
+  // The same for a drilled-down child.
+  const FlowCube skeleton(plan, db.schema_ptr());
+  const Result<NodeId> value = db.schema().dimensions[0].Find("d0_0");
+  ASSERT_TRUE(value.ok());
+  ByteWriter children;
+  children.U8(1);
+  PutRootOnlyCell(1u << 31, 1u << 31, &children);
+  children.U32(1);
+  children.U32(1);  // key size
+  children.U32(skeleton.catalog().DimItem(0, value.value()));
+  PutRootOnlyCell(1u << 31, 1u << 31, &children);
+  QueryRequest drill;
+  drill.type = RequestType::kDrillDown;
+  drill.values = {"*", "*"};
+  drill.dim = 0;
+  r = execute({children.data(), children.data()}, drill);
+  EXPECT_EQ(r.code, Status::Code::kInternal);
+  EXPECT_EQ(r.message,
+            "cell (d0_0, *): merged support exceeds the u32 range");
 }
 
 TEST(ShardCoordinatorTest, RemoteTransportAnswersThroughRealServers) {

@@ -112,7 +112,7 @@ class StoreMalformedTest : public ::testing::Test {
     ASSERT_TRUE(m.ApplyRecords(std::span<const PathRecord>(db_->records())
                                    .subspan(0, 40))
                     .ok());
-    good_ = EncodeCheckpoint(m, nullptr, kCheckpointFormatV2);
+    good_ = EncodeCheckpoint(m, nullptr);
     ASSERT_GE(good_.size(), kFcspV2HeaderSize);
   }
 
@@ -179,6 +179,12 @@ TEST_F(StoreMalformedTest, RejectsBadMagicVersionAndTrailingGarbage) {
   PutU32(&bad, 4, 3);
   EXPECT_EQ(RestoreStatus(bad).message(), "unsupported checkpoint version");
   EXPECT_EQ(MapStatus(bad).message(), "unsupported checkpoint version");
+
+  // Version 1, the retired record-log format, is refused the same way (the
+  // version word sits outside the header CRC).
+  bad = good_;
+  PutU32(&bad, 4, 1);
+  ExpectBothReject(bad, "unsupported checkpoint version");
 
   ExpectBothReject(good_ + "tail",
                    "corrupt v2 checkpoint: file size disagrees with header");
@@ -363,6 +369,37 @@ TEST_F(StoreMalformedTest, RejectsResumeTampersEvenWithValidCrc) {
   EXPECT_EQ(s.message(),
             "corrupt v2 checkpoint: trailing bytes after resume section");
   // The serving-side loader ignores the resume payload beyond its CRC.
+  EXPECT_TRUE(MapStatus(bad).ok());
+}
+
+TEST_F(StoreMalformedTest, RejectsSupportTamperEvenWithValidCrc) {
+  // Meta stream: u32 num_cuboids, then the first cuboid's u32 il, u32 pl,
+  // six u64 counts (cells first) and fifteen u64 column offsets; the
+  // support column is the third, path_count the ninth. The first cuboid's
+  // first cell has its root at path_count[0].
+  const size_t meta = kFcspV2HeaderSize;
+  ASSERT_GT(GetU64(good_, meta + 12), 0u) << "first cuboid must be nonempty";
+  const uint64_t arena_off = GetU64(good_, kArenaOffsetOff);
+  const size_t support_off = arena_off + GetU64(good_, meta + 60 + 2 * 8);
+  const size_t root_paths_off = arena_off + GetU64(good_, meta + 60 + 8 * 8);
+
+  // An inflated support alone disagrees with the cell's own flowgraph.
+  std::string bad = good_;
+  PutU32(&bad, support_off, 1000000);
+  FixAllCrcs(&bad);
+  ExpectBothReject(
+      bad, "corrupt v2 checkpoint: flowgraph path count disagrees with support");
+
+  // Inflating the root's path count with it keeps the cell self-consistent;
+  // only the restore's cross-check against the live records catches it (the
+  // serving loader never reads the records).
+  PutU32(&bad, root_paths_off, 1000000);
+  FixAllCrcs(&bad);
+  const Status s = RestoreStatus(bad);
+  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(s.message(),
+            "corrupt v2 checkpoint: cell support disagrees with the live "
+            "records");
   EXPECT_TRUE(MapStatus(bad).ok());
 }
 

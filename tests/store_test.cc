@@ -1,14 +1,12 @@
-// Out-of-core store guarantees (src/store): a FlowCube served out of a
-// mapped FCSP v2 checkpoint answers the entire public FCQP surface
-// byte-identically to the heap-built cube it was written from; v2 files
-// round-trip byte-stably through the pipeline reader; warm start publishes
-// the mapped image; a cold-started shard resumes at its checkpointed state
-// and continues ingestion without drift; and v1 files upgrade into v2 files
-// that serve the same bytes.
+// Store guarantees (src/store): a FlowCube served out of a mapped FCSP v2
+// checkpoint answers the entire public FCQP surface byte-identically to
+// the heap-built cube it was written from; v2 files round-trip byte-stably
+// through the pipeline reader; a mapped load publishes the mapped image
+// itself; and a cold-started shard resumes at its checkpointed state and
+// continues ingestion without drift.
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,9 +21,8 @@
 #include "serve/query_service.h"
 #include "serve/snapshot_registry.h"
 #include "shard/shard_node.h"
+#include "store/format.h"
 #include "store/mapped_cube.h"
-#include "store/upgrade.h"
-#include "store/warm_start.h"
 #include "stream/checkpoint.h"
 #include "stream/incremental_maintainer.h"
 
@@ -165,7 +162,7 @@ std::vector<QueryRequest> FullQuerySurface(const PathDatabase& db,
 TEST_F(StoreTest, MappedCubeServesByteIdenticalQueries) {
   IncrementalMaintainer m = MakeMaintainer(40);
   const std::string path = TempFile("differential");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
   Result<std::shared_ptr<const MappedCube>> mapped = LoadMapped(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -195,7 +192,7 @@ TEST_F(StoreTest, MappedCubeServesByteIdenticalQueries) {
 TEST_F(StoreTest, MappedCubeDumpAndMetadataMatch) {
   IncrementalMaintainer m = MakeMaintainer(40);
   const std::string path = TempFile("dump");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
   std::shared_ptr<const FlowCube> cube;
   std::string before;
@@ -220,7 +217,7 @@ TEST_F(StoreTest, MappedCubeDumpAndMetadataMatch) {
 TEST_F(StoreTest, BufferedLoadMatchesMmap) {
   IncrementalMaintainer m = MakeMaintainer(30);
   const std::string path = TempFile("buffered");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
   MappedCubeOptions no_mmap;
   no_mmap.use_mmap = false;
@@ -241,7 +238,7 @@ TEST_F(StoreTest, BufferedLoadMatchesMmap) {
 TEST_F(StoreTest, MappedCubeIsImmutable) {
   IncrementalMaintainer m = MakeMaintainer(20);
   const std::string path = TempFile("immutable");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
   Result<std::shared_ptr<const MappedCube>> mapped = LoadMapped(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   // Store-loaded cuboids borrow their slot tables from the mapping — a
@@ -262,14 +259,12 @@ TEST_F(StoreTest, MappedCubeIsImmutable) {
 
 TEST_F(StoreTest, V2CheckpointRoundTripIsByteStable) {
   IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string first = EncodeCheckpoint(m, nullptr, kCheckpointFormatV2);
+  const std::string first = EncodeCheckpoint(m, nullptr);
   Result<RestoredPipeline> restored =
       DecodeCheckpoint(first, db_->schema_ptr(), plan_, options_);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored->format, kCheckpointFormatV2);
   EXPECT_EQ(DumpFlowCube(restored->maintainer.cube()), DumpFlowCube(m.cube()));
-  const std::string second =
-      EncodeCheckpoint(restored->maintainer, nullptr, kCheckpointFormatV2);
+  const std::string second = EncodeCheckpoint(restored->maintainer, nullptr);
   EXPECT_EQ(first, second) << "v2 is canonical: decode∘encode is the "
                               "identity on the serialized form";
 }
@@ -277,8 +272,7 @@ TEST_F(StoreTest, V2CheckpointRoundTripIsByteStable) {
 TEST_F(StoreTest, V2RestoreContinuesIdentically) {
   IncrementalMaintainer original = MakeMaintainer(30);
   Result<RestoredPipeline> restored = DecodeCheckpoint(
-      EncodeCheckpoint(original, nullptr, kCheckpointFormatV2),
-      db_->schema_ptr(), plan_, options_);
+      EncodeCheckpoint(original, nullptr), db_->schema_ptr(), plan_, options_);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   const std::span<const PathRecord> rest =
@@ -290,64 +284,24 @@ TEST_F(StoreTest, V2RestoreContinuesIdentically) {
       << "a v2 restore must keep ingesting without replay drift";
 }
 
-TEST_F(StoreTest, FormatNegotiationReadsBothAndHonorsDefault) {
-  IncrementalMaintainer m = MakeMaintainer(25);
-  const std::string v1 = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  const std::string v2 = EncodeCheckpoint(m, nullptr, kCheckpointFormatV2);
-  EXPECT_NE(v1, v2);
-
-  Result<RestoredPipeline> from_v1 =
-      DecodeCheckpoint(v1, db_->schema_ptr(), plan_, options_);
-  Result<RestoredPipeline> from_v2 =
-      DecodeCheckpoint(v2, db_->schema_ptr(), plan_, options_);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-  EXPECT_EQ(from_v1->format, kCheckpointFormatV1);
-  EXPECT_EQ(from_v2->format, kCheckpointFormatV2);
-  EXPECT_EQ(DumpFlowCube(from_v1->maintainer.cube()),
-            DumpFlowCube(from_v2->maintainer.cube()));
-
-  // Format 0 follows FLOWCUBE_CHECKPOINT_FORMAT (unset here → v2).
-  EXPECT_EQ(DefaultCheckpointFormat(), kCheckpointFormatV2);
-  EXPECT_EQ(EncodeCheckpoint(m, nullptr), v2);
-}
-
-TEST_F(StoreTest, WarmStartPublishesMappedV2) {
+TEST_F(StoreTest, MappedLoadPublishesZeroCopySnapshot) {
+  // A warm start is MappedCube::Load plus SnapshotRegistry::Publish: the
+  // published snapshot is the mapped image itself, not a copy.
   IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string path = TempFile("warm_v2");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  const std::string path = TempFile("warm");
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
+  Result<std::shared_ptr<const MappedCube>> mapped = LoadMapped(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   SnapshotRegistry registry;
-  Result<WarmStart> ws = WarmStartFromCheckpoint(
-      path, db_->schema_ptr(), plan_, options_, &registry);
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  EXPECT_EQ(ws->format, kCheckpointFormatV2);
-  EXPECT_EQ(ws->live_records, 40u);
-  EXPECT_EQ(ws->epoch, 1u);
-  ASSERT_NE(ws->mapped, nullptr);
+  EXPECT_EQ(registry.Publish(mapped.value()->shared_cube(),
+                             mapped.value()->live_records()),
+            1u);
 
   SnapshotPtr snap = registry.Acquire();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->records, 40u);
-  // The published snapshot IS the mapped image, not a copy.
-  EXPECT_EQ(snap->cube.get(), &ws->mapped->cube());
-  EXPECT_EQ(DumpFlowCube(*snap->cube), DumpFlowCube(m.cube()));
-  std::remove(path.c_str());
-}
-
-TEST_F(StoreTest, WarmStartFallsBackToV1Decode) {
-  IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string path = TempFile("warm_v1");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV1).ok());
-
-  SnapshotRegistry registry;
-  Result<WarmStart> ws = WarmStartFromCheckpoint(
-      path, db_->schema_ptr(), plan_, options_, &registry);
-  ASSERT_TRUE(ws.ok()) << ws.status().ToString();
-  EXPECT_EQ(ws->format, kCheckpointFormatV1);
-  EXPECT_EQ(ws->mapped, nullptr);
-  SnapshotPtr snap = registry.Acquire();
-  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->cube.get(), &mapped.value()->cube());
   EXPECT_EQ(DumpFlowCube(*snap->cube), DumpFlowCube(m.cube()));
   std::remove(path.c_str());
 }
@@ -398,76 +352,26 @@ TEST_F(StoreTest, ShardColdStartResumesCheckpointedState) {
   std::remove(path.c_str());
 }
 
-TEST_F(StoreTest, UpgradedV1ServesByteIdenticalQueries) {
+TEST_F(StoreTest, InspectReportsV2Sections) {
   IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string v1_path = TempFile("upgrade_in");
-  const std::string v2_path = TempFile("upgrade_out");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v1_path, kCheckpointFormatV1).ok());
+  const std::string path = TempFile("inspect");
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
-  ASSERT_TRUE(UpgradeCheckpointFile(v1_path, v2_path, db_->schema_ptr(),
-                                    plan_, options_)
-                  .ok());
-
-  Result<std::shared_ptr<const MappedCube>> mapped = LoadMapped(v2_path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-
-  CubeSnapshot heap_snap;
-  heap_snap.epoch = 1;
-  heap_snap.records = 40;
-  heap_snap.cube = std::make_shared<const FlowCube>(m.cube().Clone());
-  CubeSnapshot mapped_snap = heap_snap;
-  mapped_snap.cube = mapped.value()->shared_cube();
-  for (const QueryRequest& req : FullQuerySurface(*db_, *heap_snap.cube)) {
-    EXPECT_EQ(QueryService::ExecuteOn(heap_snap, req),
-              QueryService::ExecuteOn(mapped_snap, req));
-  }
-
-  // Upgrading a file already in the target format is a canonicalizing
-  // no-op: the output bytes equal the input bytes.
-  const std::string again = TempFile("upgrade_again");
-  ASSERT_TRUE(UpgradeCheckpointFile(v2_path, again, db_->schema_ptr(), plan_,
-                                    options_)
-                  .ok());
-  std::ifstream a(v2_path, std::ios::binary), b(again, std::ios::binary);
-  std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                      std::istreambuf_iterator<char>());
-  std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes_a, bytes_b);
-
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(again.c_str());
-}
-
-TEST_F(StoreTest, InspectReportsBothFormats) {
-  IncrementalMaintainer m = MakeMaintainer(40);
-  const std::string v1_path = TempFile("inspect_v1");
-  const std::string v2_path = TempFile("inspect_v2");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v1_path, kCheckpointFormatV1).ok());
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, v2_path, kCheckpointFormatV2).ok());
-
-  Result<CheckpointFileInfo> v1 = InspectCheckpointFile(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_EQ(v1->format, kCheckpointFormatV1);
-  EXPECT_EQ(v1->live_records, 40u);
-
-  Result<CheckpointFileInfo> v2 = InspectCheckpointFile(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_EQ(v2->format, kCheckpointFormatV2);
-  EXPECT_EQ(v2->live_records, 40u);
-  EXPECT_GT(v2->meta_size, 0u);
-  EXPECT_GT(v2->arena_size, 0u);
-  EXPECT_GT(v2->resume_size, 0u);
-  EXPECT_EQ(v2->config_fingerprint, v1->config_fingerprint);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
+  Result<CheckpointFileInfo> info = InspectCheckpointFile(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->live_records, 40u);
+  EXPECT_GT(info->meta_size, 0u);
+  EXPECT_GT(info->arena_size, 0u);
+  EXPECT_GT(info->resume_size, 0u);
+  EXPECT_EQ(info->config_fingerprint,
+            CheckpointConfigFingerprint(db_->schema(), plan_, options_));
+  std::remove(path.c_str());
 }
 
 TEST_F(StoreTest, StoreMetricsTrackLoads) {
   IncrementalMaintainer m = MakeMaintainer(20);
   const std::string path = TempFile("metrics");
-  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path, kCheckpointFormatV2).ok());
+  ASSERT_TRUE(SaveCheckpoint(m, nullptr, path).ok());
 
   MetricRegistry& reg = MetricRegistry::Global();
   const uint64_t loads_before = reg.counter("store.mapped_loads").value();

@@ -5,22 +5,24 @@
 // original under further batches; (3) malformed inputs — truncations at
 // every length, flipped bits, wrong magic/version, config mismatches,
 // trailing garbage — are rejected with a clean Status, never a crash (the
-// suite runs under asan/ubsan in CI).
+// suite runs under asan/ubsan in CI). Field-targeted tampers with pinned
+// statuses live in store_malformed_test.cc, except the ingestor flag, which
+// only the pipeline restore reads.
 
-#include <algorithm>
-#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flowcube/dump.h"
 #include "gen/path_generator.h"
 #include "io/binary_io.h"
+#include "store/format.h"
+#include "store/mapped_cube.h"
 #include "stream/checkpoint.h"
 #include "stream/incremental_maintainer.h"
 
@@ -203,148 +205,28 @@ TEST_F(CheckpointTest, RejectsTrailingGarbage) {
   EXPECT_FALSE(Restore(EncodeCheckpoint(m, nullptr) + "tail").ok());
 }
 
-// Inputs promoted from fuzzing the decoder (fuzz/fuzz_checkpoint.cc):
-// length-field overflows and CRC-valid-but-semantically-bad payloads, each
-// pinned to the exact rejection status so error surfaces stay stable.
-
-// Helpers for surgical payload mutation. Header layout (checkpoint.h):
-//   [0,4)  magic   [4,8) version   [8,12) crc32(payload)
-//   [12,20) u64 payload size       [20,...) payload
-constexpr size_t kPayloadOffset = 20;
-
-void PutU32(std::string* bytes, size_t offset, uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void PutU64(std::string* bytes, size_t offset, uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    (*bytes)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-uint64_t GetU64(const std::string& bytes, size_t offset) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[offset + i]))
-         << (8 * i);
-  return v;
-}
-
-// Recomputes the header's crc and payload-size fields after the payload was
-// mutated, so the corruption reaches the structural validators instead of
-// being caught by the checksum.
-void RepairHeader(std::string* bytes) {
-  PutU64(bytes, 12, bytes->size() - kPayloadOffset);
-  PutU32(bytes, 8, Crc32(std::string_view(*bytes).substr(kPayloadOffset)));
-}
-
-// Byte offset (within the whole checkpoint) of the first cell's u32 support
-// field, found by walking the payload the way the decoder does: fingerprint,
-// live records, first cuboid header, first cell's item list.
-size_t FirstCellSupportOffset(const std::string& bytes) {
-  size_t pos = kPayloadOffset + 4;  // skip config fingerprint
-  const uint64_t num_records = GetU64(bytes, pos);
-  pos += 8;
-  for (uint64_t r = 0; r < num_records; ++r) {
-    const uint64_t num_dims = GetU64(bytes, pos);
-    pos += 8 + num_dims * 4;
-    const uint64_t num_stages = GetU64(bytes, pos);
-    pos += 8 + num_stages * 12;  // u32 location + i64 duration per stage
-  }
-  pos += 4 + 4;  // cuboid (il_index, pl_index)
-  const uint64_t num_cells = GetU64(bytes, pos);
-  pos += 8;
-  EXPECT_GT(num_cells, 0u);
-  const uint64_t num_items = GetU64(bytes, pos);
-  pos += 8 + num_items * 4;
-  return pos;  // u32 support
-}
-
-TEST_F(CheckpointTest, RejectsRecordCountOverflow) {
-  // A u64 record count far beyond the payload size must be rejected by the
-  // count/remaining guard before any allocation is attempted.
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  PutU64(&bad, kPayloadOffset + 4, ~uint64_t{0});
-  RepairHeader(&bad);
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(),
-            "corrupt checkpoint: element count exceeds payload size");
-}
-
-TEST_F(CheckpointTest, RejectsPayloadSizeFieldOverflow) {
-  // The header's u64 payload-size field claims more bytes than exist.
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  PutU64(&bad, 12, ~uint64_t{0});
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(), "corrupt checkpoint: payload truncated");
-}
-
-TEST_F(CheckpointTest, RejectsPayloadCorruptionViaChecksum) {
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  bad[bad.size() / 2] = static_cast<char>(bad[bad.size() / 2] ^ 0x20);
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(), "corrupt checkpoint: payload checksum mismatch");
-}
-
-TEST_F(CheckpointTest, RejectsFingerprintTamperEvenWithValidCrc) {
-  // CRC-valid but semantically bad: the stored config fingerprint is
-  // altered and the checksum repaired, so only the fingerprint comparison
-  // can catch it.
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  bad[kPayloadOffset] = static_cast<char>(bad[kPayloadOffset] ^ 0x01);
-  RepairHeader(&bad);
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(),
-            "checkpoint was written with a different schema, plan, or options");
-}
-
-TEST_F(CheckpointTest, RejectsSupportTamperEvenWithValidCrc) {
-  // CRC-valid but semantically bad: a cell's support count is inflated (and
-  // the checksum repaired). The decoder must cross-check every cell against
-  // the membership index rebuilt from the live records.
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  const size_t support_offset = FirstCellSupportOffset(bad);
-  ASSERT_LT(support_offset + 4, bad.size());
-  PutU32(&bad, support_offset, 1000000);
-  RepairHeader(&bad);
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(),
-            "corrupt checkpoint: cell support disagrees with the live records");
-}
-
 TEST_F(CheckpointTest, RejectsIngestorFlagOutOfRangeEvenWithValidCrc) {
-  // The has-ingestor flag is the final payload byte of a maintainer-only
-  // checkpoint; values other than 0/1 must be rejected, not interpreted.
+  // The has-ingestor flag is the last byte of a maintainer-only
+  // checkpoint's resume section; values other than 0/1 must be rejected,
+  // not read. The resume and header CRCs are repaired, so only the flag
+  // check can catch it.
   IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
+  std::string bad = EncodeCheckpoint(m, nullptr);
   bad.back() = static_cast<char>(2);
-  RepairHeader(&bad);
-  const Status s = Restore(bad).status();
-  EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(), "corrupt checkpoint: ingestor flag out of range");
-}
+  FcspV2Header header;
+  ASSERT_TRUE(ValidateV2Image(bad, std::nullopt, /*verify_crc=*/false, &header)
+                  .ok());
+  header.resume_crc = Crc32(
+      std::string_view(bad).substr(header.resume_offset, header.resume_size));
+  bad.replace(0, kFcspV2HeaderSize, EncodeV2Header(header));
 
-TEST_F(CheckpointTest, RejectsTrailingPayloadBytesEvenWithValidCrc) {
-  // Trailing bytes *inside* the CRC-covered payload (the outer trailing-
-  // garbage case is covered above): the payload parser must consume the
-  // payload exactly.
-  IncrementalMaintainer m = MakeMaintainer(10);
-  std::string bad = EncodeCheckpoint(m, nullptr, kCheckpointFormatV1);
-  bad.push_back('\0');
-  RepairHeader(&bad);
   const Status s = Restore(bad).status();
   EXPECT_EQ(s.code(), Status::Code::kInvalidArgument);
-  EXPECT_EQ(s.message(), "corrupt checkpoint: trailing bytes after payload");
+  EXPECT_EQ(s.message(), "corrupt v2 checkpoint: ingestor flag out of range");
+  // The serving-side loader never reads the resume payload.
+  EXPECT_TRUE(MappedCube::FromBuffer(std::make_shared<const std::string>(bad),
+                                     db_->schema_ptr(), plan_, options_)
+                  .ok());
 }
 
 TEST_F(CheckpointTest, RejectsConfigMismatch) {

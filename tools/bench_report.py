@@ -3,7 +3,9 @@
 
 Each BENCH document is matched to the baseline file of the same name; rows
 are keyed by their string-valued fields (x, algo, backend, ...), so the
-report survives row reordering and added series. Lower-is-better metrics
+report survives row reordering and added series. A baseline row the
+current run lacks is reported as a "missing row" line (not a regression,
+so the exit code is unchanged). Lower-is-better metrics
 (seconds, seconds_mine, seconds_setup) regress when they grow; *_per_sec
 metrics regress when they shrink. Scales must match, otherwise the pair is
 skipped with a note — a baseline captured at scale=1.0 says nothing about a
@@ -55,6 +57,11 @@ def compare_doc(name, base, cur, threshold, lines):
                      "skipped")
         return 0
     base_rows = {row_key(r): r for r in base.get("rows", [])}
+    cur_keys = {row_key(r) for r in cur.get("rows", [])}
+    for key in base_rows:
+        if key not in cur_keys:
+            lines.append(f"{name} {fmt_key(key)}: missing row (in baseline, "
+                         "not in current run)")
     for row in cur.get("rows", []):
         key = row_key(row)
         base_row = base_rows.get(key)

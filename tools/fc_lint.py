@@ -61,7 +61,7 @@ ALLOWLIST = {
 
 # unordered-iteration only applies to canonical-order code paths.
 CANONICAL_PATHS = (
-    r"(dump|checkpoint|audit|render|hash|text_io|binary_io|serializ)"
+    r"(dump|checkpoint|codec|audit|render|hash|text_io|binary_io|serializ)"
 )
 
 SUPPRESS_RE = re.compile(

@@ -1,23 +1,19 @@
 // fcsp_tool — operator CLI for FCSP checkpoint files.
 //
 //   fcsp_tool info <file>
-//       Schema-free summary: format version, section sizes and checksum
-//       verification, config fingerprint, live record count. Works on a
-//       foreign checkpoint (no pipeline config needed).
+//       Schema-free summary: section sizes and checksum verification,
+//       config fingerprint, live record count. Works on a foreign
+//       checkpoint (no pipeline config needed).
 //
 //   fcsp_tool verify <file> [config flags]
 //       Full read validation against a pipeline config: the resume path
-//       (LoadCheckpoint) and, for v2 files, the zero-copy mapped load.
-//       Exit 0 iff every reader accepts the file.
+//       (LoadCheckpoint) and the zero-copy mapped load. Exit 0 iff both
+//       readers accept the file (a cube-only file needs only the mapped
+//       load).
 //
-//   fcsp_tool upgrade <in> <out> [--format=1|2] [config flags]
-//       Rewrite <in> as <out> in the requested format (default v2: the
-//       relocatable sealed format the serving layer mmaps). Upgrading a
-//       file already in the target format canonicalizes it.
-//
-// Config flags (verify/upgrade must match the writer's pipeline config —
-// every checkpoint read validates a fingerprint over it; the defaults are
-// the synthetic fixture the tests and seed corpora use):
+// Config flags (verify must match the writer's pipeline config — every
+// checkpoint read validates a fingerprint over it; the defaults are the
+// synthetic fixture the tests and seed corpora use):
 //   --dims=N         schema dimensions        (default 2)
 //   --seed=N         generator seed           (default 909)
 //   --min-support=N  iceberg threshold        (default 2)
@@ -33,7 +29,6 @@
 #include "gen/path_generator.h"
 #include "store/format.h"
 #include "store/mapped_cube.h"
-#include "store/upgrade.h"
 #include "stream/checkpoint.h"
 #include "stream/incremental_maintainer.h"
 
@@ -46,7 +41,7 @@ struct ToolConfig {
   uint32_t min_support = 2;
 };
 
-// The same fixture config as checkpoint_harness.cc / tests — the schema a
+// The same fixture config as fuzz/fixture.h / tests — the schema a
 // checkpoint validates against is derived from the generator config, so
 // the flags must mirror what produced the file.
 struct Pipeline {
@@ -97,9 +92,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: fcsp_tool info <file>\n"
                "       fcsp_tool verify <file> [--dims=N] [--seed=N] "
-               "[--min-support=N]\n"
-               "       fcsp_tool upgrade <in> <out> [--format=1|2] "
-               "[--dims=N] [--seed=N] [--min-support=N]\n");
+               "[--min-support=N]\n");
   return 2;
 }
 
@@ -111,24 +104,19 @@ int RunInfo(const std::string& file) {
     return 1;
   }
   std::printf("file:               %s\n", file.c_str());
-  std::printf("format:             FCSP v%u\n", info->format);
+  std::printf("format:             FCSP v%u\n", kFcspFormatV2);
   std::printf("file_size:          %llu\n",
               static_cast<unsigned long long>(info->file_size));
   std::printf("config_fingerprint: 0x%08x\n", info->config_fingerprint);
   std::printf("live_records:       %llu\n",
               static_cast<unsigned long long>(info->live_records));
-  if (info->format == kFcspFormatV2) {
-    std::printf("meta_size:          %llu\n",
-                static_cast<unsigned long long>(info->meta_size));
-    std::printf("arena_size:         %llu\n",
-                static_cast<unsigned long long>(info->arena_size));
-    std::printf("resume_size:        %llu%s\n",
-                static_cast<unsigned long long>(info->resume_size),
-                info->resume_size == 0 ? " (cube-only)" : "");
-  } else {
-    std::printf("payload_size:       %llu\n",
-                static_cast<unsigned long long>(info->resume_size));
-  }
+  std::printf("meta_size:          %llu\n",
+              static_cast<unsigned long long>(info->meta_size));
+  std::printf("arena_size:         %llu\n",
+              static_cast<unsigned long long>(info->arena_size));
+  std::printf("resume_size:        %llu%s\n",
+              static_cast<unsigned long long>(info->resume_size),
+              info->resume_size == 0 ? " (cube-only)" : "");
   std::printf("checksums:          OK\n");
   return 0;
 }
@@ -149,7 +137,7 @@ int RunVerify(const std::string& file, const ToolConfig& tool) {
     std::printf("resume load:        OK (%llu live records)\n",
                 static_cast<unsigned long long>(
                     restored->maintainer.live_record_count()));
-  } else if (info->format == kFcspFormatV2 && info->resume_size == 0) {
+  } else if (info->resume_size == 0) {
     std::printf("resume load:        n/a (cube-only file)\n");
   } else {
     std::fprintf(stderr, "resume load:        FAILED: %s\n",
@@ -157,42 +145,18 @@ int RunVerify(const std::string& file, const ToolConfig& tool) {
     rc = 1;
   }
 
-  if (info->format == kFcspFormatV2) {
-    Result<std::shared_ptr<const MappedCube>> mapped =
-        MappedCube::Load(file, p.schema, p.plan, p.options);
-    if (mapped.ok()) {
-      std::printf("mapped load:        OK (%zu bytes mapped)\n",
-                  mapped.value()->bytes_mapped());
-    } else {
-      std::fprintf(stderr, "mapped load:        FAILED: %s\n",
-                   mapped.status().ToString().c_str());
-      rc = 1;
-    }
+  Result<std::shared_ptr<const MappedCube>> mapped =
+      MappedCube::Load(file, p.schema, p.plan, p.options);
+  if (mapped.ok()) {
+    std::printf("mapped load:        OK (%zu bytes mapped)\n",
+                mapped.value()->bytes_mapped());
+  } else {
+    std::fprintf(stderr, "mapped load:        FAILED: %s\n",
+                 mapped.status().ToString().c_str());
+    rc = 1;
   }
   if (rc == 0) std::printf("verify:             OK\n");
   return rc;
-}
-
-int RunUpgrade(const std::string& in, const std::string& out,
-               uint32_t format, const ToolConfig& tool) {
-  const Pipeline p = MakePipeline(tool);
-  Status upgraded =
-      UpgradeCheckpointFile(in, out, p.schema, p.plan, p.options, format);
-  if (!upgraded.ok()) {
-    std::fprintf(stderr, "fcsp_tool: %s\n", upgraded.ToString().c_str());
-    return 1;
-  }
-  Result<CheckpointFileInfo> info = InspectCheckpointFile(out);
-  if (!info.ok()) {
-    std::fprintf(stderr, "fcsp_tool: rewrote %s but it does not verify: %s\n",
-                 out.c_str(), info.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s (FCSP v%u, %llu bytes, %llu live records)\n",
-              out.c_str(), info->format,
-              static_cast<unsigned long long>(info->file_size),
-              static_cast<unsigned long long>(info->live_records));
-  return 0;
 }
 
 int Run(int argc, char** argv) {
@@ -200,8 +164,7 @@ int Run(int argc, char** argv) {
   const std::string cmd = argv[1];
 
   ToolConfig tool;
-  uint64_t format = kFcspFormatV2;
-  std::string positional[2];
+  std::string file;
   int npos = 0;
   for (int i = 2; i < argc; ++i) {
     uint64_t v = 0;
@@ -211,27 +174,18 @@ int Run(int argc, char** argv) {
       tool.seed = v;
     } else if (ParseFlag(argv[i], "--min-support", &v)) {
       tool.min_support = static_cast<uint32_t>(v);
-    } else if (ParseFlag(argv[i], "--format", &format)) {
-      if (format != kFcspFormatV1 && format != kFcspFormatV2) {
-        std::fprintf(stderr, "fcsp_tool: --format must be 1 or 2\n");
-        return 2;
-      }
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "fcsp_tool: unknown flag %s\n", argv[i]);
       return Usage();
-    } else if (npos < 2) {
-      positional[npos++] = argv[i];
+    } else if (npos++ == 0) {
+      file = argv[i];
     } else {
       return Usage();
     }
   }
 
-  if (cmd == "info" && npos == 1) return RunInfo(positional[0]);
-  if (cmd == "verify" && npos == 1) return RunVerify(positional[0], tool);
-  if (cmd == "upgrade" && npos == 2) {
-    return RunUpgrade(positional[0], positional[1],
-                      static_cast<uint32_t>(format), tool);
-  }
+  if (cmd == "info" && npos == 1) return RunInfo(file);
+  if (cmd == "verify" && npos == 1) return RunVerify(file, tool);
   return Usage();
 }
 
