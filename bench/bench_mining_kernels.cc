@@ -1,11 +1,11 @@
-// Mining-kernel microbench: candidate-counting throughput per counting
-// backend and per ISA level (DESIGN.md §13), isolated from the rest of the
-// mining loop. Two workload shapes bracket the Apriori passes: the pass-2
-// pair candidates (many candidates, chain verify trivial) and the pass-3
-// triple candidates (fewer candidates, subset verify active). Rows report
-// counting seconds and candidate-transaction evaluations per second; the
-// scalar horizontal rows are the baseline the SIMD and tidlist rows are
-// judged against (acceptance: >= 2x candidates/sec for one of them).
+// Mining-kernel microbench: candidate-counting throughput of the tidlist
+// engine against the reference engine (DESIGN.md §13), isolated from the
+// rest of the mining loop. Two workload shapes bracket the Apriori passes:
+// the pass-2 pair candidates (many candidates, chain verify trivial) and
+// the pass-3 triple candidates (fewer candidates, subset verify active).
+// Rows report counting seconds and candidate-transaction evaluations per
+// second; the `scalar` rows time the reference's horizontal pair-index
+// scan, the `tidlist` rows the engine at the CPU's SIMD level.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "flowcube/plan.h"
 #include "mining/apriori.h"
@@ -34,12 +33,11 @@ struct KernelWorkload {
   uint32_t minsup = 0;
 };
 
-// Counter loaded with `cands`, finalized, counts at zero.
+// Counter loaded with `cands`, counts at zero.
 void LoadCounter(const std::vector<Itemset>& cands, CandidateCounter* c) {
   c->Clear();
   c->Reserve(cands.size());
   for (const Itemset& cand : cands) c->Add(cand);
-  c->Finalize();
 }
 
 // Builds the transaction views plus the real pass-2 and pass-3 candidate
@@ -74,11 +72,10 @@ KernelWorkload& Workload() {
     }
     out->pair_cands = AprioriJoin(frequent_1);
 
-    // Pass 2 counts (any backend; this is setup) -> pass-3 candidates.
+    // Pass 2 counts (setup, untimed) -> pass-3 candidates.
     CandidateCounter counter;
     LoadCounter(out->pair_cands, &counter);
-    CountAllTransactions(out->views, CountBackend::kSimd, nullptr, 256,
-                         &counter);
+    CountAllTransactions(out->views, nullptr, 256, &counter);
     std::vector<Itemset> frequent_2;
     for (size_t i = 0; i < counter.size(); ++i) {
       if (counter.count(i) >= out->minsup) {
@@ -99,54 +96,36 @@ KernelWorkload& Workload() {
 }
 
 BenchJson& Json() {
-  static BenchJson json("mining_kernels", "counting backend / ISA level");
+  static BenchJson json("mining_kernels", "counting engine");
   return json;
 }
 
-struct Variant {
-  std::string name;  // row label: backend or backend/level
-  CountBackend backend;
-  simd::Level level;  // horizontal backends only
-};
+// Row labels: the reference scan keeps its historical `scalar` name.
+constexpr const char* kVariants[] = {"scalar", "tidlist"};
 
-std::vector<Variant> Variants() {
-  std::vector<Variant> v = {
-      {"scalar", CountBackend::kScalar, simd::Level::kScalar}};
-  if (simd::ActiveLevel() != simd::Level::kScalar) {
-    v.push_back({"simd/sse2", CountBackend::kSimd, simd::Level::kSse2});
-    if (simd::ActiveLevel() != simd::Level::kSse2) {
-      v.push_back({std::string("simd/") + simd::LevelName(simd::ActiveLevel()),
-                   CountBackend::kSimd, simd::ActiveLevel()});
-    }
-  }
-  v.push_back({"tidlist", CountBackend::kTidlist, simd::Level::kScalar});
-  return v;
-}
-
-// One timed counting pass: rebuild the counter (outside the clock), then
-// count every transaction against every candidate.
-double TimedPass(const std::vector<Itemset>& cands, const Variant& variant) {
+// One timed counting pass: rebuild the counter (and the reference's pair
+// index) outside the clock, then count every transaction against every
+// candidate.
+double TimedPass(const std::vector<Itemset>& cands, bool reference) {
   KernelWorkload& w = Workload();
   CandidateCounter counter;
   LoadCounter(cands, &counter);
+  if (reference) counter.BuildPairIndex();
   Stopwatch timer;
-  if (variant.backend == CountBackend::kTidlist) {
-    CountAllTransactions(w.views, CountBackend::kTidlist, nullptr, 256,
-                         &counter);
+  if (reference) {
+    for (const auto& txn : w.views) counter.CountTransaction(txn);
   } else {
-    for (const auto& txn : w.views) {
-      counter.CountTransaction(txn, variant.level);
-    }
+    CountAllTransactions(w.views, nullptr, 256, &counter);
   }
   return timer.ElapsedSeconds();
 }
 
 void RegisterAll() {
-  for (const Variant& variant : Variants()) {
+  for (const std::string variant : kVariants) {
     for (int shape_idx = 0; shape_idx < 2; ++shape_idx) {
       const char* shape = shape_idx == 0 ? "pairs" : "triples";
       const std::string bench_name =
-          std::string("kernels/") + shape + "/" + variant.name;
+          std::string("kernels/") + shape + "/" + variant;
       benchmark::RegisterBenchmark(
           bench_name.c_str(),
           [variant, shape, shape_idx](benchmark::State& state) {
@@ -154,7 +133,8 @@ void RegisterAll() {
             const std::vector<Itemset>& cands =
                 shape_idx == 0 ? w.pair_cands : w.triple_cands;
             for (auto _ : state) {
-              const double seconds = TimedPass(cands, variant);
+              const double seconds =
+                  TimedPass(cands, /*reference=*/variant == "scalar");
               state.SetIterationTime(seconds);
               const double evals = static_cast<double>(cands.size()) *
                                    static_cast<double>(w.views.size());
@@ -164,7 +144,7 @@ void RegisterAll() {
               state.counters["cand_per_sec"] = cand_per_sec;
               Json().AddRow(
                   {JsonField::Str("x", shape),
-                   JsonField::Str("backend", variant.name),
+                   JsonField::Str("backend", variant),
                    JsonField::Num("seconds", seconds),
                    JsonField::Int("candidates", cands.size()),
                    JsonField::Int("transactions", w.views.size()),

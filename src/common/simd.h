@@ -2,10 +2,10 @@
 #define FLOWCUBE_COMMON_SIMD_H_
 
 // The one audited home of raw SIMD intrinsics (fc_lint rule
-// `raw-intrinsics` rejects them anywhere else). Everything here is an
-// integer kernel — filtering, sorted-set intersection, hash-slot
-// computation — so every level produces bit-identical results and callers
-// may dispatch freely without perturbing cube bytes.
+// `raw-intrinsics` rejects them anywhere else): the integer kernels of the
+// tidlist counting engine (mining/counting_backend.cc) — sorted-set
+// intersection and bitmap AND+popcount. Every level produces bit-identical
+// results, so dispatch never perturbs supports or cube bytes.
 //
 // Levels:
 //   kScalar  portable C++; the reference implementation of every kernel.
@@ -13,14 +13,12 @@
 //   kAvx2    selected at *runtime* via cpuid; the AVX2 bodies carry
 //            __attribute__((target("avx2"))) so a default -march build can
 //            still ship them.
-//   kNeon    reserved for aarch64; kernels currently fall back to scalar
-//            (no ARM hardware in CI to validate intrinsics against).
 //
-// Selection: ActiveLevel() resolves once per process — the best level the
-// CPU supports, demoted by FLOWCUBE_SIMD=scalar|sse2|avx2 (requests above
-// what the CPU supports clamp down) or pinned to kScalar at compile time
-// by -DFLOWCUBE_FORCE_SCALAR=ON (which also compiles the intrinsics out,
-// keeping the fallback path warning-clean on its own).
+// Selection: ActiveLevel() resolves once per process to the best level the
+// CPU supports, or to kScalar at compile time under
+// -DFLOWCUBE_FORCE_SCALAR=ON (which also compiles the intrinsics out,
+// keeping the portable path warning-clean on its own). Tests pass a Level
+// explicitly to reach the others.
 //
 // Contract shared by all kernels: inputs are uint32 values < 2^31 (item
 // ids / transaction ids are catalog- and database-bounded), and sorted
@@ -28,17 +26,16 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <string_view>
+#include <utility>
 
 #if !defined(FLOWCUBE_FORCE_SCALAR) && (defined(__x86_64__) || defined(_M_X64))
-#define FLOWCUBE_SIMD_X86 1
+#define FLOWCUBE_X86_KERNELS 1
 #include <immintrin.h>
 #endif
 
 namespace flowcube::simd {
 
-enum class Level { kScalar, kSse2, kAvx2, kNeon };
+enum class Level { kScalar, kSse2, kAvx2 };
 
 constexpr const char* LevelName(Level level) {
   switch (level) {
@@ -48,240 +45,28 @@ constexpr const char* LevelName(Level level) {
       return "sse2";
     case Level::kAvx2:
       return "avx2";
-    case Level::kNeon:
-      return "neon";
   }
   return "scalar";
 }
 
-// The splitmix-style probe-start finalizer shared with the scalar hash
-// paths (apriori.cc, shared_miner.cc).
-constexpr uint64_t kHashMultiplier = 0x9e3779b97f4a7c15ULL;
-
-namespace internal {
-
-inline Level CompiledBest() {
-#if defined(FLOWCUBE_FORCE_SCALAR)
-  return Level::kScalar;
-#elif defined(FLOWCUBE_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  return Level::kSse2;
-#elif defined(__ARM_NEON)
-  return Level::kNeon;
-#else
-  return Level::kScalar;
-#endif
-}
-
-inline Level Clamp(Level requested, Level best) {
-  return static_cast<int>(requested) <= static_cast<int>(best) ? requested
-                                                               : best;
-}
-
-inline Level ResolveLevel() {
-  const Level best = CompiledBest();
-  // Read once before any worker thread starts; nothing calls setenv.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("FLOWCUBE_SIMD");
-  if (env == nullptr || env[0] == '\0') return best;
-  const std::string_view v(env);
-  if (v == "scalar") return Level::kScalar;
-  if (v == "sse2") return Clamp(Level::kSse2, best);
-  if (v == "avx2") return Clamp(Level::kAvx2, best);
-  if (v == "neon") return Clamp(Level::kNeon, best);
-  return best;  // unrecognized (incl. "auto") -> best available
-}
-
-}  // namespace internal
-
 // The level every convenience overload dispatches to; resolved once.
 inline Level ActiveLevel() {
-  static const Level level = internal::ResolveLevel();
-  return level;
-}
-
-// Hints the prefetcher at data needed a few dozen iterations ahead.
-inline void PrefetchRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/0, /*locality=*/1);
+  static const Level level = [] {
+#if defined(FLOWCUBE_X86_KERNELS)
+    if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
+    return Level::kSse2;
 #else
-  (void)p;
+    return Level::kScalar;
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Kernel: FilterByU32Mask
-//
-// Compacts `ids[0..n)` into `out`, keeping ids with id < mask_size and
-// mask01[id] != 0. Returns the number written. `out` needs room for n
-// values; ids need not be sorted. This is the relevance filter in front of
-// candidate counting: transactions carry every item at every abstraction
-// level, while a pass's candidates touch only a subset.
-
-inline size_t FilterByU32MaskScalar(const uint32_t* ids, size_t n,
-                                    const uint32_t* mask01, size_t mask_size,
-                                    uint32_t* out) {
-  size_t written = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t id = ids[i];
-    if (id < mask_size && mask01[id] != 0) out[written++] = id;
-  }
-  return written;
-}
-
-#if defined(FLOWCUBE_SIMD_X86)
-
-namespace internal {
-
-// perm[m] compacts the 32-bit lanes whose bit is set in m to the front
-// (for _mm256_permutevar8x32_epi32).
-struct CompressTable {
-  alignas(32) uint32_t perm[256][8];
-};
-
-inline constexpr CompressTable kCompress = [] {
-  CompressTable t{};
-  for (int m = 0; m < 256; ++m) {
-    int k = 0;
-    for (int b = 0; b < 8; ++b) {
-      if ((m & (1 << b)) != 0) t.perm[m][k++] = static_cast<uint32_t>(b);
-    }
-    for (; k < 8; ++k) t.perm[m][k] = 0;
-  }
-  return t;
-}();
-
-}  // namespace internal
-
-__attribute__((target("avx2"))) inline size_t FilterByU32MaskAvx2(
-    const uint32_t* ids, size_t n, const uint32_t* mask01, size_t mask_size,
-    uint32_t* out) {
-  size_t written = 0;
-  size_t i = 0;
-  const __m256i vsize = _mm256_set1_epi32(static_cast<int>(mask_size));
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vid =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    // Signed compare is safe: ids and mask_size are < 2^31 by contract.
-    const __m256i in_bounds = _mm256_cmpgt_epi32(vsize, vid);
-    // Masked gather never touches lanes whose mask is clear, so
-    // out-of-bounds ids read nothing.
-    const __m256i hit = _mm256_mask_i32gather_epi32(
-        zero, reinterpret_cast<const int*>(mask01), vid, in_bounds, 4);
-    const __m256i keep =
-        _mm256_andnot_si256(_mm256_cmpeq_epi32(hit, zero), in_bounds);
-    const int m = _mm256_movemask_ps(_mm256_castsi256_ps(keep));
-    const __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(internal::kCompress.perm[m]));
-    // Full 8-lane store; only popcount(m) lanes are kept. Safe: written
-    // <= i here, so written + 8 <= n stays within `out`.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + written),
-                        _mm256_permutevar8x32_epi32(vid, perm));
-    written += static_cast<size_t>(__builtin_popcount(static_cast<unsigned>(m)));
-  }
-  for (; i < n; ++i) {
-    const uint32_t id = ids[i];
-    if (id < mask_size && mask01[id] != 0) out[written++] = id;
-  }
-  return written;
-}
-
-#endif  // FLOWCUBE_SIMD_X86
-
-inline size_t FilterByU32Mask(const uint32_t* ids, size_t n,
-                              const uint32_t* mask01, size_t mask_size,
-                              uint32_t* out, Level level) {
-#if defined(FLOWCUBE_SIMD_X86)
-  if (level == Level::kAvx2) {
-    return FilterByU32MaskAvx2(ids, n, mask01, mask_size, out);
-  }
-#endif
-  (void)level;  // SSE2 has no gather; scalar is the sub-AVX2 x86 path.
-  return FilterByU32MaskScalar(ids, n, mask01, mask_size, out);
-}
-
-inline size_t FilterByU32Mask(const uint32_t* ids, size_t n,
-                              const uint32_t* mask01, size_t mask_size,
-                              uint32_t* out) {
-  return FilterByU32Mask(ids, n, mask01, mask_size, out, ActiveLevel());
-}
-
-// ---------------------------------------------------------------------------
-// Kernel: PairProbeSlots
-//
-// For a fixed first item `a` and second items `bs[0..n)`, computes the
-// open-addressing probe-start slot of every pair key (a << 32) | bs[i]:
-//   h = key * kHashMultiplier; h ^= h >> 32; slot = h & slot_mask.
-// Callers prefetch their slot storage at these indices, then resolve.
-
-inline void PairProbeSlotsScalar(uint32_t a, const uint32_t* bs, size_t n,
-                                 uint64_t slot_mask, uint32_t* out_slots) {
-  const uint64_t hi = static_cast<uint64_t>(a) << 32;
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t h = (hi | bs[i]) * kHashMultiplier;
-    h ^= h >> 32;
-    out_slots[i] = static_cast<uint32_t>(h & slot_mask);
-  }
-}
-
-#if defined(FLOWCUBE_SIMD_X86)
-
-__attribute__((target("avx2"))) inline void PairProbeSlotsAvx2(
-    uint32_t a, const uint32_t* bs, size_t n, uint64_t slot_mask,
-    uint32_t* out_slots) {
-  // key * C mod 2^64 with key = (a << 32) | b decomposes into
-  //   b * c_lo                      (full 64-bit, _mm256_mul_epu32)
-  // + ((b * c_hi + a * c_lo) mod 2^32) << 32
-  const uint32_t c_lo = static_cast<uint32_t>(kHashMultiplier);
-  const uint32_t c_hi = static_cast<uint32_t>(kHashMultiplier >> 32);
-  const uint32_t a_term = a * c_lo;  // (a * C) mod 2^32
-  const __m256i vc_lo = _mm256_set1_epi64x(c_lo);
-  const __m256i vc_hi = _mm256_set1_epi64x(c_hi);
-  const __m256i va_term = _mm256_set1_epi64x(a_term);
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(slot_mask));
-  const __m256i pack = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Zero-extend 4 b values into 64-bit lanes.
-    const __m256i vb = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bs + i)));
-    const __m256i t0 = _mm256_mul_epu32(vb, vc_lo);
-    // Low 32-bit lanes hold (b * c_hi + a_term) mod 2^32; high lanes are
-    // zero (vb's high lanes are zero, va_term's high lanes are zero).
-    const __m256i cross =
-        _mm256_add_epi32(_mm256_mullo_epi32(vb, vc_hi), va_term);
-    __m256i h = _mm256_add_epi64(t0, _mm256_slli_epi64(cross, 32));
-    h = _mm256_xor_si256(h, _mm256_srli_epi64(h, 32));
-    h = _mm256_and_si256(h, vmask);
-    // Slots fit in 32 bits (table capacity < 2^32): pack low halves.
-    const __m256i packed = _mm256_permutevar8x32_epi32(h, pack);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_slots + i),
-                     _mm256_castsi256_si128(packed));
-  }
-  if (i < n) PairProbeSlotsScalar(a, bs + i, n - i, slot_mask, out_slots + i);
-}
-
-#endif  // FLOWCUBE_SIMD_X86
-
-inline void PairProbeSlots(uint32_t a, const uint32_t* bs, size_t n,
-                           uint64_t slot_mask, uint32_t* out_slots,
-                           Level level) {
-#if defined(FLOWCUBE_SIMD_X86)
-  if (level == Level::kAvx2) {
-    PairProbeSlotsAvx2(a, bs, n, slot_mask, out_slots);
-    return;
-  }
-#endif
-  (void)level;
-  PairProbeSlotsScalar(a, bs, n, slot_mask, out_slots);
+  }();
+  return level;
 }
 
 // ---------------------------------------------------------------------------
 // Kernel: IntersectCountU32 / IntersectU32
 //
 // Sorted-set intersection over strictly-increasing uint32 arrays — the
-// tidlist counting backend's inner loop. The count-only form is the hot
+// tidlist counting engine's inner loop. The count-only form is the hot
 // one (final support evaluation); the materializing form feeds progressive
 // multi-way intersections and writes to `out` (room for min(na, nb)).
 
@@ -346,7 +131,7 @@ inline size_t IntersectCountU32Scalar(const uint32_t* a, size_t na,
   return count;
 }
 
-#if defined(FLOWCUBE_SIMD_X86)
+#if defined(FLOWCUBE_X86_KERNELS)
 
 // Block-compare intersection: each 4/8-wide block of `a` is compared
 // against every rotation of the current block of `b`; the block whose
@@ -405,11 +190,11 @@ __attribute__((target("avx2"))) inline size_t IntersectCountU32Avx2(
   return count + IntersectCountU32Scalar(a + i, na - i, b + j, nb - j);
 }
 
-#endif  // FLOWCUBE_SIMD_X86
+#endif  // FLOWCUBE_X86_KERNELS
 
 inline size_t IntersectCountU32(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb, Level level) {
-#if defined(FLOWCUBE_SIMD_X86)
+#if defined(FLOWCUBE_X86_KERNELS)
   if (level == Level::kAvx2) return IntersectCountU32Avx2(a, na, b, nb);
   if (level == Level::kSse2) return IntersectCountU32Sse2(a, na, b, nb);
 #endif
@@ -465,7 +250,7 @@ inline size_t IntersectU32(const uint32_t* a, size_t na, const uint32_t* b,
 // ---------------------------------------------------------------------------
 // Kernel: AndPopcountU64 / AndIntoU64
 //
-// Dense-bitmap intersection for the vertical counting backend: tidlists of
+// Dense-bitmap intersection for the tidlist counting engine: tidlists of
 // frequent items are dense enough (>= ~1% of transactions) that a packed
 // bitmap beats sorted-list merging — support(A,B) is one streaming
 // AND+popcount over words that live in L2/L3. AndIntoU64 materializes the
@@ -486,7 +271,7 @@ inline void AndIntoU64Scalar(const uint64_t* a, const uint64_t* b,
   for (size_t i = 0; i < n_words; ++i) out[i] = a[i] & b[i];
 }
 
-#if defined(FLOWCUBE_SIMD_X86)
+#if defined(FLOWCUBE_X86_KERNELS)
 
 __attribute__((target("avx2"))) inline size_t AndPopcountU64Avx2(
     const uint64_t* a, const uint64_t* b, size_t n_words) {
@@ -545,11 +330,11 @@ __attribute__((target("sse2"))) inline void AndIntoU64Sse2(const uint64_t* a,
   AndIntoU64Scalar(a + i, b + i, n_words - i, out + i);
 }
 
-#endif  // FLOWCUBE_SIMD_X86
+#endif  // FLOWCUBE_X86_KERNELS
 
 inline size_t AndPopcountU64(const uint64_t* a, const uint64_t* b,
                              size_t n_words, Level level) {
-#if defined(FLOWCUBE_SIMD_X86)
+#if defined(FLOWCUBE_X86_KERNELS)
   if (level == Level::kAvx2) return AndPopcountU64Avx2(a, b, n_words);
 #endif
   (void)level;
@@ -563,7 +348,7 @@ inline size_t AndPopcountU64(const uint64_t* a, const uint64_t* b,
 
 inline void AndIntoU64(const uint64_t* a, const uint64_t* b, size_t n_words,
                        uint64_t* out, Level level) {
-#if defined(FLOWCUBE_SIMD_X86)
+#if defined(FLOWCUBE_X86_KERNELS)
   if (level == Level::kAvx2) return AndIntoU64Avx2(a, b, n_words, out);
   if (level == Level::kSse2) return AndIntoU64Sse2(a, b, n_words, out);
 #endif

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "mining/apriori.h"
 
 namespace flowcube {
 namespace {
@@ -181,58 +179,6 @@ std::vector<FlowException> ExceptionMiner::Mine(
     m_kept.Add(out.size());
   }
   return out;
-}
-
-std::vector<FlowException> ExceptionMiner::MineWithLocalPatterns(
-    const FlowGraph& g, PathView paths) const {
-  // Encode each path as a transaction of (node, duration) items and mine
-  // frequent chains with Apriori. Items are interned locally.
-  const auto chains = BuildChains(g, paths);
-  std::unordered_map<uint64_t, ItemId> intern;
-  std::vector<StageCondition> decode;
-  std::vector<std::vector<ItemId>> txns(paths.size());
-  for (size_t i = 0; i < paths.size(); ++i) {
-    for (size_t j = 0; j < chains[i].size(); ++j) {
-      const Duration dur = paths[i].stages[j].duration;
-      const uint64_t key = (static_cast<uint64_t>(chains[i][j]) << 32) |
-                           static_cast<uint32_t>(dur + 1);
-      auto [it, inserted] =
-          intern.try_emplace(key, static_cast<ItemId>(decode.size()));
-      if (inserted) decode.push_back(StageCondition{chains[i][j], dur});
-      txns[i].push_back(it->second);
-    }
-    std::sort(txns[i].begin(), txns[i].end());
-  }
-
-  AprioriOptions opts;
-  opts.min_support = options_.min_support;
-  // Two constraints on one node cannot both hold (a stage has one
-  // duration).
-  opts.candidate_filter = [&decode](const Itemset& cand) {
-    for (size_t a = 0; a + 1 < cand.size(); ++a) {
-      for (size_t b = a + 1; b < cand.size(); ++b) {
-        if (decode[cand[a]].node == decode[cand[b]].node) return false;
-      }
-    }
-    return true;
-  };
-  Apriori apriori(opts);
-  std::vector<std::span<const ItemId>> spans;
-  spans.reserve(txns.size());
-  for (const auto& t : txns) spans.emplace_back(t.data(), t.size());
-
-  std::vector<std::vector<StageCondition>> patterns;
-  for (const FrequentItemset& fi : apriori.Mine(spans)) {
-    std::vector<StageCondition> pattern;
-    pattern.reserve(fi.items.size());
-    for (ItemId id : fi.items) pattern.push_back(decode[id]);
-    std::sort(pattern.begin(), pattern.end(),
-              [&g](const StageCondition& a, const StageCondition& b) {
-                return g.depth(a.node) < g.depth(b.node);
-              });
-    patterns.push_back(std::move(pattern));
-  }
-  return Mine(g, paths, patterns);
 }
 
 }  // namespace flowcube

@@ -36,13 +36,6 @@ class ExceptionMiner {
       const FlowGraph& g, PathView paths,
       const std::vector<std::vector<StageCondition>>& patterns) const;
 
-  // Self-contained variant: first mines the frequent (node, duration)
-  // chains of `paths` with Apriori at min_support, then evaluates them.
-  // This is what standalone flowgraph construction (outside a flowcube)
-  // uses.
-  std::vector<FlowException> MineWithLocalPatterns(
-      const FlowGraph& g, PathView paths) const;
-
  private:
   ExceptionMinerOptions options_;
 };

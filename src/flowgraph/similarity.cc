@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.h"
@@ -232,10 +233,46 @@ void Accumulate(const FlowGraph& a, const FlowGraph& b, FlowNodeId na,
   acc->total_weight += w;
 }
 
-}  // namespace
+// A total order over everything Accumulate reads from a graph: node by
+// node its path and terminate counts, location, children and duration
+// counts, then the node count. Accumulate walks `a`'s children before
+// `b`'s unmatched ones and JsBatch adds p's term before q's, so swapping
+// the arguments changes the summation order. FlowGraphDistance therefore
+// always evaluates the lesser graph first; graphs that compare equal drive
+// identical arithmetic either way. The comparison stops at the first
+// difference, which for a cell and its parent is usually the root's path
+// count.
+bool ContentLess(const FlowGraph& a, const FlowGraph& b) {
+  const size_t n = std::min(a.num_nodes(), b.num_nodes());
+  for (FlowNodeId v = 0; v < n; ++v) {
+    if (a.path_count(v) != b.path_count(v)) {
+      return a.path_count(v) < b.path_count(v);
+    }
+    if (a.terminate_count(v) != b.terminate_count(v)) {
+      return a.terminate_count(v) < b.terminate_count(v);
+    }
+    if (a.location(v) != b.location(v)) return a.location(v) < b.location(v);
+    const std::span<const FlowNodeId> ka = a.children(v);
+    const std::span<const FlowNodeId> kb = b.children(v);
+    if (!std::ranges::equal(ka, kb)) {
+      return std::ranges::lexicographical_compare(ka, kb);
+    }
+    const std::span<const DurationCount> da = a.duration_counts(v);
+    const std::span<const DurationCount> db = b.duration_counts(v);
+    if (!std::ranges::equal(da, db)) {
+      return std::ranges::lexicographical_compare(
+          da, db, [](const DurationCount& x, const DurationCount& y) {
+            return std::tie(x.duration, x.count) <
+                   std::tie(y.duration, y.count);
+          });
+    }
+  }
+  return a.num_nodes() < b.num_nodes();
+}
 
-double FlowGraphDistance(const FlowGraph& a, const FlowGraph& b,
-                         const SimilarityOptions& options) {
+// FlowGraphDistance with the arguments in the order Accumulate walks them.
+double DistanceInOrder(const FlowGraph& a, const FlowGraph& b,
+                       const SimilarityOptions& options) {
   Scratch scratch;
   if (a.total_paths() == 0 && b.total_paths() == 0) return 0.0;
   if (a.total_paths() == 0 || b.total_paths() == 0) {
@@ -247,6 +284,14 @@ double FlowGraphDistance(const FlowGraph& a, const FlowGraph& b,
              max_divergence, &scratch, &acc);
   if (acc.total_weight <= 0.0) return 0.0;
   return acc.weighted_divergence / acc.total_weight;
+}
+
+}  // namespace
+
+double FlowGraphDistance(const FlowGraph& a, const FlowGraph& b,
+                         const SimilarityOptions& options) {
+  return ContentLess(b, a) ? DistanceInOrder(b, a, options)
+                           : DistanceInOrder(a, b, options);
 }
 
 }  // namespace flowcube

@@ -9,17 +9,22 @@
 namespace flowcube {
 namespace {
 
-constexpr uint32_t kNoCandidate = static_cast<uint32_t>(-1);
-
 // Slot-table sizing, mirroring Cuboid's open addressing (flowcube.cc): the
-// counter index is built once and probed billions of times, so it trades
-// memory for short probe chains — load factor capped at 1/2 rather than
-// Cuboid's mutating-table 7/10.
+// index is built once and probed for every in-transaction item pair, so it
+// trades memory for short probe chains — load factor capped at 1/2 rather
+// than Cuboid's mutating-table 7/10.
 constexpr size_t kMinSlotCapacity = 16;
 constexpr size_t kMaxLoadPercent = 50;
 
 uint64_t PairKey(ItemId a, ItemId b) {
   return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+// Probe start of a pair key: a splitmix-style multiply, folded.
+size_t ProbeStart(uint64_t key, uint64_t slot_mask) {
+  uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  return static_cast<size_t>(h & slot_mask);
 }
 
 void EnsureLength(std::vector<uint64_t>* v, size_t len) {
@@ -29,7 +34,7 @@ void EnsureLength(std::vector<uint64_t>* v, size_t len) {
 }  // namespace
 
 void CandidateCounter::Clear() {
-  finalized_ = false;
+  indexed_ = false;
   candidates_.clear();
   counts_.clear();
   slots_.clear();
@@ -42,13 +47,13 @@ void CandidateCounter::Clear() {
 }
 
 void CandidateCounter::Reserve(size_t expected_candidates) {
-  FC_DCHECK(!finalized_);
+  FC_DCHECK(!indexed_);
   candidates_.reserve(expected_candidates);
   counts_.reserve(expected_candidates);
 }
 
 size_t CandidateCounter::Add(Itemset candidate) {
-  FC_DCHECK(!finalized_);
+  FC_DCHECK(!indexed_);
   FC_DCHECK(candidate.size() >= 2);
   FC_DCHECK(std::is_sorted(candidate.begin(), candidate.end()));
   const size_t idx = candidates_.size();
@@ -57,9 +62,9 @@ size_t CandidateCounter::Add(Itemset candidate) {
   return idx;
 }
 
-void CandidateCounter::Finalize() {
-  FC_CHECK(!finalized_);
-  finalized_ = true;
+void CandidateCounter::BuildPairIndex() {
+  FC_CHECK(!indexed_);
+  indexed_ = true;
   if (candidates_.empty()) return;
 
   ItemId max_item = 0;
@@ -82,9 +87,6 @@ void CandidateCounter::Finalize() {
   cand_items_.clear();
   cand_items_.reserve(total_items);
 
-  // Probe lengths accumulate locally and flush as one bulk Record per
-  // distinct length (metrics.h: never Record inside per-item loops).
-  std::vector<uint64_t> probe_hist;
   for (size_t i = 0; i < candidates_.size(); ++i) {
     const Itemset& cand = candidates_[i];
     for (ItemId id : cand) {
@@ -94,107 +96,56 @@ void CandidateCounter::Finalize() {
     cand_begin_.push_back(static_cast<uint32_t>(cand_items_.size()));
     first_[cand[0]] = 1;
     const uint64_t key = PairKey(cand[0], cand[1]);
-    uint64_t h = key * simd::kHashMultiplier;
-    h ^= h >> 32;
-    size_t slot = static_cast<size_t>(h & slot_mask_);
-    size_t probes = 1;
+    size_t slot = ProbeStart(key, slot_mask_);
     while (slots_[slot].key != key && slots_[slot].head != kNoCandidate) {
       slot = (slot + 1) & slot_mask_;
-      ++probes;
     }
-    if (probe_hist.size() <= probes) probe_hist.resize(probes + 1, 0);
-    probe_hist[probes]++;
     slots_[slot].key = key;
     next_[i] = slots_[slot].head;
     slots_[slot].head = static_cast<uint32_t>(i);
   }
-
-  static Histogram& m_probe =
-      MetricRegistry::Global().histogram("mining.counter.probe_length");
-  for (size_t p = 1; p < probe_hist.size(); ++p) {
-    m_probe.Record(static_cast<double>(p), probe_hist[p]);
-  }
 }
 
-void CandidateCounter::CountTransaction(std::span<const ItemId> raw_txn,
-                                        simd::Level level) {
-  CountInto(raw_txn, level, &counts_, &scratch_);
-}
-
-void CandidateCounter::CountTransaction(std::span<const ItemId> raw_txn,
-                                        Shard* shard,
-                                        simd::Level level) const {
-  if (shard->counts_.size() != counts_.size()) {
-    shard->counts_.assign(counts_.size(), 0);
-  }
-  CountInto(raw_txn, level, &shard->counts_, &shard->scratch_);
-}
-
-void CandidateCounter::Absorb(const Shard& shard) {
-  if (shard.counts_.empty()) return;  // shard never counted anything
-  FC_CHECK(shard.counts_.size() == counts_.size());
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += shard.counts_[i];
-}
-
-void CandidateCounter::CountInto(std::span<const ItemId> raw_txn,
-                                 simd::Level level,
-                                 std::vector<uint32_t>* counts,
-                                 Scratch* scratch) const {
-  FC_DCHECK(finalized_);
+void CandidateCounter::CountTransaction(std::span<const ItemId> raw_txn) {
+  FC_DCHECK(indexed_);
   if (candidates_.empty() || raw_txn.size() < 2) return;
   // Drop items no candidate contains: transactions carry every abstraction
   // level while a pass's candidates touch few of them.
-  if (scratch->filtered.size() < raw_txn.size()) {
-    scratch->filtered.resize(raw_txn.size());
+  filtered_.clear();
+  for (ItemId id : raw_txn) {
+    if (id < relevant_.size() && relevant_[id] != 0) filtered_.push_back(id);
   }
-  const size_t m =
-      simd::FilterByU32Mask(raw_txn.data(), raw_txn.size(), relevant_.data(),
-                            relevant_.size(), scratch->filtered.data(), level);
-  if (m < 2) return;
-  const ItemId* txn = scratch->filtered.data();
-  if (scratch->slots.size() < m) scratch->slots.resize(m);
-  uint32_t* slots = scratch->slots.data();
+  const ItemId* txn = filtered_.data();
+  const size_t m = filtered_.size();
   for (size_t i = 0; i + 1 < m; ++i) {
     if (!first_[txn[i]]) continue;
-    // Probe starts for the whole (txn[i], txn[j>i]) suffix in one kernel
-    // call, then resolve in blocks behind a prefetch front so the slot
-    // lines are in cache by the time the key compare touches them.
-    const size_t nb = m - i - 1;
-    const ItemId* bs = txn + i + 1;
-    simd::PairProbeSlots(txn[i], bs, nb, slot_mask_, slots, level);
-    constexpr size_t kBlock = 16;
-    for (size_t j0 = 0; j0 < nb; j0 += kBlock) {
-      const size_t j1 = std::min(j0 + kBlock, nb);
-      for (size_t j = j0; j < j1; ++j) simd::PrefetchRead(&slots_[slots[j]]);
-      for (size_t j = j0; j < j1; ++j) {
-        const uint64_t key = PairKey(txn[i], bs[j]);
-        size_t slot = slots[j];
-        while (slots_[slot].key != key &&
-               slots_[slot].head != kNoCandidate) {
-          slot = (slot + 1) & slot_mask_;
-        }
-        // An absent key stops on an empty slot, whose chain is empty — no
-        // separate hit test needed.
-        for (uint32_t idx = slots_[slot].head; idx != kNoCandidate;
-             idx = next_[idx]) {
-          const size_t ce = cand_begin_[idx + 1];
-          // Verify the remaining items (cand[2..]) against txn beyond bs[j];
-          // both sides are sorted and cand's first two items are its
-          // smallest. Candidate items stream from the flat arena.
-          size_t ci = cand_begin_[idx] + 2;
-          size_t ti = i + 1 + j + 1;
-          while (ci < ce && ti < m) {
-            if (txn[ti] < cand_items_[ci]) {
-              ++ti;
-            } else if (txn[ti] == cand_items_[ci]) {
-              ++ti;
-              ++ci;
-            } else {
-              break;
-            }
+    for (size_t j = i + 1; j < m; ++j) {
+      const uint64_t key = PairKey(txn[i], txn[j]);
+      size_t slot = ProbeStart(key, slot_mask_);
+      while (slots_[slot].key != key && slots_[slot].head != kNoCandidate) {
+        slot = (slot + 1) & slot_mask_;
+      }
+      // An absent key stops on an empty slot, whose chain is empty — no
+      // separate hit test needed.
+      for (uint32_t idx = slots_[slot].head; idx != kNoCandidate;
+           idx = next_[idx]) {
+        // Verify the remaining items (cand[2..]) against txn beyond j;
+        // both sides are sorted and cand's first two items are its
+        // smallest. Candidate items stream from the flat arena.
+        const size_t ce = cand_begin_[idx + 1];
+        size_t ci = cand_begin_[idx] + 2;
+        size_t ti = j + 1;
+        while (ci < ce && ti < m) {
+          if (txn[ti] < cand_items_[ci]) {
+            ++ti;
+          } else if (txn[ti] == cand_items_[ci]) {
+            ++ti;
+            ++ci;
+          } else {
+            break;
           }
-          if (ci == ce) (*counts)[idx]++;
         }
+        if (ci == ce) counts_[idx]++;
       }
     }
   }
@@ -325,10 +276,8 @@ std::vector<FrequentItemset> Apriori::Mine(
       counter.Add(std::move(cand));
     }
     if (counter.size() == 0) break;
-    counter.Finalize();
 
-    CountAllTransactions(txns, options_.count_backend, /*pool=*/nullptr,
-                         /*grain=*/256, &counter);
+    CountAllTransactions(txns, /*pool=*/nullptr, /*grain=*/256, &counter);
     stats_.passes++;
     passes_this_call++;
     EnsureLength(&stats_.candidates_per_length, k);

@@ -8,68 +8,32 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/simd.h"
 #include "mining/transaction.h"
 
 namespace flowcube {
 
-// Which engine evaluates candidate supports (DESIGN.md §13). Supports are
-// exact integer counts under every backend, so the choice can never change
-// mining results — only how fast they arrive.
-enum class CountBackend {
-  kAuto,     // resolve FLOWCUBE_COUNT_BACKEND; default = horizontal SIMD
-  kScalar,   // horizontal transaction scan, scalar kernels
-  kSimd,     // horizontal transaction scan, SIMD kernels (active ISA level)
-  kTidlist,  // vertical sorted-tidlist intersection counting
-};
-
-// Counts supports of a set of candidate itemsets (each of length >= 2,
-// sorted) in one scan over transactions. Candidates are indexed by their
-// two smallest items in a flat open-addressing hash table; per transaction,
-// every in-transaction item pair is enumerated and the matching chain's
-// candidates verified by subset check. Supports mixed candidate lengths in
-// one pass, which is what lets algorithm Shared pre-count length-(k+1)
-// high-level patterns while counting length-k candidates.
+// The candidates of one counting pass and their supports. Candidates are
+// sorted itemsets of length >= 2; mixed lengths may share one pass, which
+// is what lets algorithm Shared pre-count length-(k+1) high-level patterns
+// while counting length-k candidates. The miners fill it with Add() and
+// hand it to CountAllTransactions (mining/counting_backend.h), the tidlist
+// engine, which writes each support through AddCount().
 //
-// The hot structures are laid out for the counting loop (DESIGN.md §13):
-// 16-byte {key, head} slots so one cache line resolves a probe, candidate
-// items in a single flat arena walked sequentially during subset
-// verification, and a u32 relevance mask sized for the SIMD gather filter.
-// Probe starts for a whole transaction suffix are computed by
-// simd::PairProbeSlots and the slot lines software-prefetched in blocks.
-//
-// Usage: Add() every candidate, call Finalize() once, then CountTransaction
-// per transaction — either directly, or through per-thread Shards when the
-// transaction scan is split across a thread pool. CountAllTransactions
-// (mining/counting_backend.h) wraps the scan behind the backend knob.
+// The counter also carries the reference engine (DESIGN.md §13): a
+// horizontal scan that indexes candidates by their two smallest items in a
+// flat open-addressing table and, per transaction, enumerates every
+// in-transaction item pair and verifies the matching chain's candidates by
+// subset check. It is scalar and serial, and no production pass builds its
+// index; tests, bench_mining_kernels and the FC_AUDIT recount compare the
+// engine against it. Usage: Add() every candidate, BuildPairIndex() once,
+// then CountTransaction() per transaction.
 class CandidateCounter {
  public:
-  // Reusable per-thread buffers of the counting kernel.
-  struct Scratch {
-    std::vector<ItemId> filtered;
-    std::vector<uint32_t> slots;
-  };
-
-  // Private counts + scratch of one counting thread. The candidate index
-  // itself is read-only during counting, so any number of threads may count
-  // concurrently as long as each uses its own shard; Absorb() folds the
-  // partial counts back. Counts are additive, so the totals are identical
-  // to a serial scan regardless of how transactions were partitioned.
-  class Shard {
-   public:
-    Shard() = default;
-
-   private:
-    friend class CandidateCounter;
-    std::vector<uint32_t> counts_;
-    Scratch scratch_;
-  };
-
   // Removes all candidates and counts.
   void Clear();
 
-  // Pre-sizes candidate storage (and the Finalize-time slot table) for
-  // `expected_candidates` Adds, mirroring Cuboid::Reserve.
+  // Pre-sizes candidate storage for `expected_candidates` Adds, mirroring
+  // Cuboid::Reserve.
   void Reserve(size_t expected_candidates);
 
   // Adds a candidate (sorted, unique, length >= 2); returns its index.
@@ -77,56 +41,38 @@ class CandidateCounter {
 
   size_t size() const { return candidates_.size(); }
 
-  // Builds the pair index, item bitmaps, and the flat candidate arena.
-  // Must be called after the last Add() and before the first
-  // CountTransaction(). Records per-insert probe lengths into the
-  // mining.counter.probe_length histogram.
-  void Finalize();
-
-  // Registers one transaction's (sorted, duplicate-free) items against
-  // every candidate, running kernels at the given SIMD level.
-  void CountTransaction(std::span<const ItemId> txn,
-                        simd::Level level = simd::ActiveLevel());
-
-  // Thread-safe variant: counts into `shard`, which is lazily sized on
-  // first use and must belong to exactly one thread.
-  void CountTransaction(std::span<const ItemId> txn, Shard* shard,
-                        simd::Level level = simd::ActiveLevel()) const;
-
-  // Adds a shard's partial counts into the main counters (serial).
-  void Absorb(const Shard& shard);
-
-  // Adds directly into one candidate's count (counting backends that
-  // evaluate candidates independently, e.g. tidlist intersection).
+  // Adds into one candidate's count.
   void AddCount(size_t idx, uint32_t delta) { counts_[idx] += delta; }
 
   const Itemset& candidate(size_t idx) const { return candidates_[idx]; }
   uint32_t count(size_t idx) const { return counts_[idx]; }
+
+  // Reference engine: builds the pair index over every candidate added so
+  // far. Call once, after the last Add().
+  void BuildPairIndex();
+
+  // Reference engine: registers one transaction's (sorted, duplicate-free)
+  // items against every candidate.
+  void CountTransaction(std::span<const ItemId> txn);
 
  private:
   static constexpr uint32_t kNoCandidate = static_cast<uint32_t>(-1);
 
   // One open-addressing slot: the (first << 32 | second) pair key and the
   // head of the chain of candidate indices sharing it (chained through
-  // next_). 16 bytes so a probe touches exactly one cache line for both
-  // the key compare and the chain head; pad stays zero.
+  // next_). 16 bytes so a probe touches one cache line for both the key
+  // compare and the chain head; pad stays zero.
   struct Slot {
     uint64_t key = 0;
     uint32_t head = kNoCandidate;
     uint32_t pad = 0;
   };
 
-  // The counting kernel: scans `txn` against the finalized index,
-  // incrementing `counts` and using `scratch` for the filtered
-  // transaction and the precomputed probe starts.
-  void CountInto(std::span<const ItemId> txn, simd::Level level,
-                 std::vector<uint32_t>* counts, Scratch* scratch) const;
-
-  bool finalized_ = false;
+  bool indexed_ = false;
   std::vector<Itemset> candidates_;
   std::vector<uint32_t> counts_;
   // Open-addressing table (power-of-two capacity, linear probing, load
-  // factor <= kMaxLoadPercent/100).
+  // factor <= 1/2).
   std::vector<Slot> slots_;
   std::vector<uint32_t> next_;
   uint64_t slot_mask_ = 0;
@@ -135,13 +81,12 @@ class CandidateCounter {
   // for the subset-verification walk.
   std::vector<uint32_t> cand_begin_;
   std::vector<ItemId> cand_items_;
-  // Masks by item id: items appearing in any candidate (u32 0/1, the
-  // layout simd::FilterByU32Mask gathers from), and items that are some
-  // candidate's smallest (bytes, probed scalar).
-  std::vector<uint32_t> relevant_;
+  // Masks by item id: items appearing in any candidate, and items that are
+  // some candidate's smallest.
+  std::vector<uint8_t> relevant_;
   std::vector<uint8_t> first_;
-  // Scratch reused across CountTransaction calls on the owner thread.
-  Scratch scratch_;
+  // The transaction's relevant items, reused across CountTransaction calls.
+  std::vector<ItemId> filtered_;
 };
 
 // The classic Apriori candidate join: pairs of frequent (k-1)-itemsets
@@ -161,8 +106,6 @@ struct AprioriOptions {
   // Optional extra candidate filter; return false to drop a candidate
   // before counting. Applied after the standard subset-frequency prune.
   std::function<bool(const Itemset&)> candidate_filter;
-  // Counting engine; kAuto honours FLOWCUBE_COUNT_BACKEND.
-  CountBackend count_backend = CountBackend::kAuto;
 };
 
 // Statistics every miner reports; Figure 11 plots candidates_per_length.

@@ -1,10 +1,11 @@
 #include "mining/counting_backend.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
+#include <string>
 
+#include "common/audit.h"
 #include "common/simd.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 
 namespace flowcube {
@@ -13,10 +14,9 @@ namespace {
 // Vertical (tidlist) counting: one sorted transaction-id list per item that
 // appears in some candidate, built in a single pass over the database; a
 // candidate's support is the size of the intersection of its items' lists.
-// Pays off when candidates are few relative to transactions (late Apriori
-// passes) or items are selective — every candidate is evaluated over
-// exactly the transactions containing its rarest item pair instead of
-// every transaction pair-enumerating its whole tail.
+// Every candidate is evaluated over exactly the transactions containing its
+// rarest items instead of every transaction pair-enumerating its whole
+// tail, as the horizontal reference does.
 void CountAllTidlist(const std::vector<std::span<const ItemId>>& txns,
                      ThreadPool* pool, size_t grain,
                      CandidateCounter* counter) {
@@ -168,59 +168,46 @@ void CountAllTidlist(const std::vector<std::span<const ItemId>>& txns,
   }
 }
 
-void CountAllHorizontal(const std::vector<std::span<const ItemId>>& txns,
-                        simd::Level level, ThreadPool* pool, size_t grain,
-                        CandidateCounter* counter) {
-  if (pool == nullptr || pool->num_threads() == 1) {
-    for (const auto& txn : txns) counter->CountTransaction(txn, level);
-    return;
-  }
-  std::vector<CandidateCounter::Shard> shards(pool->num_threads());
-  pool->ParallelForChunks(txns.size(), grain,
-                          [&](size_t shard, size_t begin, size_t end) {
-                            CandidateCounter::Shard& sh = shards[shard];
-                            for (size_t ti = begin; ti < end; ++ti) {
-                              counter->CountTransaction(txns[ti], &sh, level);
-                            }
-                          });
-  for (const CandidateCounter::Shard& sh : shards) counter->Absorb(sh);
-}
-
 }  // namespace
 
-CountBackend ResolveCountBackend(CountBackend requested) {
-  if (requested != CountBackend::kAuto) return requested;
-  static const CountBackend from_env = [] {
-    // Read once before any worker thread starts; nothing calls setenv.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("FLOWCUBE_COUNT_BACKEND");
-    if (env != nullptr) {
-      const std::string_view v(env);
-      if (v == "scalar") return CountBackend::kScalar;
-      if (v == "simd") return CountBackend::kSimd;
-      if (v == "tidlist") return CountBackend::kTidlist;
-    }
-    return CountBackend::kSimd;
-  }();
-  return from_env;
-}
-
 void CountAllTransactions(const std::vector<std::span<const ItemId>>& txns,
-                          CountBackend backend, ThreadPool* pool, size_t grain,
+                          ThreadPool* pool, size_t grain,
                           CandidateCounter* counter) {
   if (counter->size() == 0) return;
-  switch (ResolveCountBackend(backend)) {
-    case CountBackend::kScalar:
-      CountAllHorizontal(txns, simd::Level::kScalar, pool, grain, counter);
-      return;
-    case CountBackend::kTidlist:
-      CountAllTidlist(txns, pool, grain, counter);
-      return;
-    case CountBackend::kAuto:
-    case CountBackend::kSimd:
-      CountAllHorizontal(txns, simd::ActiveLevel(), pool, grain, counter);
-      return;
+  CountAllTidlist(txns, pool, grain, counter);
+  FC_AUDIT(AuditCandidateCounts(txns, *counter));
+}
+
+std::vector<uint32_t> ReferenceCounts(
+    const std::vector<std::span<const ItemId>>& txns,
+    const CandidateCounter& counter) {
+  CandidateCounter reference;
+  reference.Reserve(counter.size());
+  for (size_t i = 0; i < counter.size(); ++i) {
+    reference.Add(counter.candidate(i));
   }
+  reference.BuildPairIndex();
+  for (const auto& txn : txns) reference.CountTransaction(txn);
+  std::vector<uint32_t> counts(reference.size());
+  for (size_t i = 0; i < counts.size(); ++i) counts[i] = reference.count(i);
+  return counts;
+}
+
+AuditReport AuditCandidateCounts(
+    const std::vector<std::span<const ItemId>>& txns,
+    const CandidateCounter& counter) {
+  AuditReport report("CandidateCounter");
+  const std::vector<uint32_t> want = ReferenceCounts(txns, counter);
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (counter.count(i) == want[i]) continue;
+    std::string items;
+    for (ItemId id : counter.candidate(i)) {
+      items += StrFormat(items.empty() ? "%u" : " %u", id);
+    }
+    report.Fail(StrFormat("candidate %zu {%s}: count %u, reference %u", i,
+                          items.c_str(), counter.count(i), want[i]));
+  }
+  return report;
 }
 
 }  // namespace flowcube

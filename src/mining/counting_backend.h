@@ -8,41 +8,36 @@
 
 namespace flowcube {
 
+class AuditReport;
 class ThreadPool;
 
-// Resolves the backend knob: an explicit request wins; kAuto reads
-// FLOWCUBE_COUNT_BACKEND (scalar | simd | tidlist; read once per process),
-// defaulting to kSimd. Never returns kAuto.
-CountBackend ResolveCountBackend(CountBackend requested = CountBackend::kAuto);
-
-constexpr const char* CountBackendName(CountBackend backend) {
-  switch (backend) {
-    case CountBackend::kAuto:
-      return "auto";
-    case CountBackend::kScalar:
-      return "scalar";
-    case CountBackend::kSimd:
-      return "simd";
-    case CountBackend::kTidlist:
-      return "tidlist";
-  }
-  return "auto";
-}
-
-// Evaluates every candidate's support over `txns` into `counter` (already
-// Finalize()d, counts at zero for this scan's candidates) using the chosen
-// backend. The horizontal backends (scalar/simd) scan transactions and
-// split the scan across `pool` when it has more than one thread; the
-// vertical tidlist backend builds sorted transaction-id lists per relevant
-// item and intersects them per candidate, parallelized over candidates.
-// All backends produce identical counts — supports are exact integers —
-// so mining results never depend on the knob (DESIGN.md §13).
+// The counting engine every miner uses (DESIGN.md §13): evaluates every
+// candidate's support over `txns` into `counter` (counts at zero for this
+// scan's candidates). It builds a sorted transaction-id list per item some
+// candidate touches, plus a packed bitmap for the dense ones, and
+// intersects them per candidate, split over candidates across `pool`.
+// Supports are exact integers, so the thread count never changes them.
+// Under FC_AUDIT every call is recounted with the reference engine
+// (AuditCandidateCounts) and aborts on any difference.
 //
 // `pool` may be null (serial). `grain` is the scheduling grain for
 // transaction-indexed loops.
 void CountAllTransactions(const std::vector<std::span<const ItemId>>& txns,
-                          CountBackend backend, ThreadPool* pool, size_t grain,
+                          ThreadPool* pool, size_t grain,
                           CandidateCounter* counter);
+
+// The supports of `counter`'s candidates over `txns`, in candidate order,
+// from the reference engine (CandidateCounter's horizontal pair-index
+// scan, scalar and serial). `counter`'s own counts are not read.
+std::vector<uint32_t> ReferenceCounts(
+    const std::vector<std::span<const ItemId>>& txns,
+    const CandidateCounter& counter);
+
+// Recounts `counter`'s candidates with ReferenceCounts and reports every
+// candidate whose count differs.
+AuditReport AuditCandidateCounts(
+    const std::vector<std::span<const ItemId>>& txns,
+    const CandidateCounter& counter);
 
 }  // namespace flowcube
 

@@ -151,9 +151,10 @@ SharedMiningOutput SharedMiner::Run() {
   const uint32_t minsup = options_.min_support;
   const bool use_filters = options_.prune_unlinkable || options_.prune_ancestors;
 
-  // The transaction scans (pass 1 and every candidate-counting pass) are
-  // split across this pool; each shard counts into private state merged at
-  // the pass boundary, so supports are exact and thread-count independent.
+  // Pass 1 splits its transaction scan across this pool, each shard
+  // counting into private state merged at the pass boundary; the counting
+  // passes split their candidates across it. Either way supports are exact
+  // and thread-count independent.
   ThreadPool pool(ResolveNumThreads(options_.num_threads));
   const size_t num_shards = pool.num_threads();
   // Scheduling grain of the scans: transactions are cheap individually, so
@@ -331,9 +332,7 @@ SharedMiningOutput SharedMiner::Run() {
     }
 
     if (counter.size() > 0) {
-      counter.Finalize();
-      CountAllTransactions(txn_views, options_.count_backend, &pool,
-                           kScanGrain, &counter);
+      CountAllTransactions(txn_views, &pool, kScanGrain, &counter);
       out.stats.passes++;
     }
 

@@ -40,18 +40,13 @@ struct SharedMinerOptions {
   // hierarchies). Stage items are high level when their duration is '*'.
   int high_level_dim_level = 2;
 
-  // Threads for the transaction scans (pass 1 and each candidate-counting
-  // pass). 0 = FLOWCUBE_THREADS env, falling back to hardware concurrency;
-  // 1 = serial. Any value produces bit-identical output: per-thread
-  // partial counters are merged at each pass boundary, so supports — and
-  // therefore the frequent set and its order — never depend on the thread
-  // count.
+  // Threads for pass 1's transaction scan and each candidate-counting
+  // pass. 0 = FLOWCUBE_THREADS env, falling back to hardware concurrency;
+  // 1 = serial. Any value produces bit-identical output: pass 1 merges
+  // per-thread partial counters at the pass boundary and counting passes
+  // give each thread disjoint candidates, so supports — and therefore the
+  // frequent set and its order — never depend on the thread count.
   int num_threads = 0;
-
-  // Counting engine for the candidate-counting passes; kAuto honours
-  // FLOWCUBE_COUNT_BACKEND. Supports are exact integers under every
-  // backend, so this never changes mining results.
-  CountBackend count_backend = CountBackend::kAuto;
 };
 
 // The result of a full mining run: every frequent itemset (cells, path

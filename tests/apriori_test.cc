@@ -45,13 +45,13 @@ std::map<Itemset, uint32_t> BruteForceFrequent(
   return frequent;
 }
 
-// --- CandidateCounter -------------------------------------------------------------
+// --- CandidateCounter: the reference engine --------------------------------------
 
 TEST(CandidateCounter, CountsPairs) {
   CandidateCounter counter;
   const size_t ab = counter.Add({1, 2});
   const size_t ac = counter.Add({1, 3});
-  counter.Finalize();
+  counter.BuildPairIndex();
   const std::vector<ItemId> t1 = {1, 2, 3};
   const std::vector<ItemId> t2 = {1, 2};
   const std::vector<ItemId> t3 = {2, 3};
@@ -67,7 +67,7 @@ TEST(CandidateCounter, CountsLongerItemsets) {
   const size_t abc = counter.Add({1, 2, 3});
   const size_t abd = counter.Add({1, 2, 4});
   const size_t abcde = counter.Add({1, 2, 3, 4, 5});
-  counter.Finalize();
+  counter.BuildPairIndex();
   const std::vector<ItemId> full = {1, 2, 3, 4, 5};
   const std::vector<ItemId> part = {1, 2, 3, 5};
   counter.CountTransaction(full);
@@ -81,7 +81,7 @@ TEST(CandidateCounter, MixedLengthsInOnePass) {
   CandidateCounter counter;
   const size_t pair = counter.Add({1, 5});
   const size_t triple = counter.Add({1, 5, 9});
-  counter.Finalize();
+  counter.BuildPairIndex();
   const std::vector<ItemId> t = {1, 3, 5, 9};
   counter.CountTransaction(t);
   EXPECT_EQ(counter.count(pair), 1u);
@@ -91,7 +91,7 @@ TEST(CandidateCounter, MixedLengthsInOnePass) {
 TEST(CandidateCounter, IgnoresIrrelevantItems) {
   CandidateCounter counter;
   const size_t c = counter.Add({100, 200});
-  counter.Finalize();
+  counter.BuildPairIndex();
   std::vector<ItemId> t;
   for (ItemId i = 0; i < 50; ++i) t.push_back(i);
   t.push_back(100);
@@ -103,11 +103,11 @@ TEST(CandidateCounter, IgnoresIrrelevantItems) {
 TEST(CandidateCounter, ClearResets) {
   CandidateCounter counter;
   counter.Add({1, 2});
-  counter.Finalize();
+  counter.BuildPairIndex();
   counter.Clear();
   EXPECT_EQ(counter.size(), 0u);
   counter.Add({3, 4});
-  counter.Finalize();
+  counter.BuildPairIndex();
   EXPECT_EQ(counter.size(), 1u);
 }
 

@@ -6,11 +6,14 @@
 // exactly on 50 seeded random workloads: identical frequent-cell sets,
 // identical supports, and byte-identical canonical cube dumps
 // (flowcube/dump renders cells sorted with %.17g doubles, so string
-// equality is bitwise cube equality).
+// equality is bitwise cube equality). Every support either miner reports,
+// segments included, is also recounted with the reference counting engine.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -155,6 +158,37 @@ void ExpectMatchesOracle(const MiningResult& result,
   }
 }
 
+// Recounts every support a miner reports — cells, segments and their
+// combinations, at every length — over the workload's transactions:
+// single items by direct scan, longer itemsets with the reference engine
+// (CandidateCounter's pair-index scan), which shares no code with the
+// tidlist engine the miners count with.
+void ExpectSupportsMatchReference(const MiningResult& result,
+                                  const TransformedDatabase& tdb,
+                                  const char* miner_name) {
+  SCOPED_TRACE(miner_name);
+  std::vector<std::span<const ItemId>> txns;
+  std::vector<uint32_t> item_support(tdb.catalog().num_items(), 0);
+  for (const Transaction& t : tdb.transactions()) {
+    txns.emplace_back(t.items);
+    for (ItemId id : t.items) item_support[id]++;
+  }
+  CandidateCounter counter;
+  std::vector<uint32_t> reported;
+  for (const FrequentItemset& fi : result.all()) {
+    if (fi.items.size() == 1) {
+      EXPECT_EQ(fi.support, item_support[fi.items[0]]);
+      continue;
+    }
+    Itemset items = fi.items;
+    std::sort(items.begin(), items.end());
+    counter.Add(std::move(items));
+    reported.push_back(fi.support);
+  }
+  ASSERT_FALSE(reported.empty());
+  EXPECT_EQ(ReferenceCounts(txns, counter), reported);
+}
+
 // Materializes a flowcube from any miner's output, mirroring the builder's
 // measure phase with exceptions and redundancy analysis off: for every
 // cuboid, the frequent cells' member paths are gathered and their flowgraph
@@ -234,30 +268,7 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
   SharedMinerOptions sopts;
   sopts.min_support = w.min_support;
   sopts.num_threads = 1;
-  sopts.count_backend = CountBackend::kScalar;
   const MiningResult shared(&tdb, SharedMiner(tdb, sopts).Run().frequent);
-
-  // Every counting backend must reproduce the scalar run exactly: same
-  // frequent itemsets, same supports, same order (supports are exact
-  // integer counts, so the backend can never change mining results). The
-  // canonical cube dumps derived from each backend's run are compared
-  // byte-for-byte further down.
-  std::vector<std::pair<CountBackend, MiningResult>> backend_results;
-  for (const CountBackend backend :
-       {CountBackend::kSimd, CountBackend::kTidlist}) {
-    SharedMinerOptions mopts = sopts;
-    mopts.count_backend = backend;
-    MiningResult result(&tdb, SharedMiner(tdb, mopts).Run().frequent);
-    ASSERT_EQ(result.all().size(), shared.all().size())
-        << CountBackendName(backend);
-    for (size_t i = 0; i < result.all().size(); ++i) {
-      ASSERT_EQ(result.all()[i].items, shared.all()[i].items)
-          << CountBackendName(backend) << " itemset " << i;
-      ASSERT_EQ(result.all()[i].support, shared.all()[i].support)
-          << CountBackendName(backend) << " itemset " << i;
-    }
-    backend_results.emplace_back(backend, std::move(result));
-  }
 
   CubingMinerOptions copts;
   copts.min_support = w.min_support;
@@ -279,6 +290,8 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
                       tdb.catalog(), "SharedMiner");
   ExpectMatchesOracle(cubing, oracle, w.min_support, db.schema(),
                       tdb.catalog(), "CubingMiner");
+  ExpectSupportsMatchReference(shared, tdb, "SharedMiner");
+  ExpectSupportsMatchReference(cubing, tdb, "CubingMiner");
 
   // Byte-equal canonical dumps: Shared-derived cube == Cubing-derived cube
   // == the production builder's cube (exceptions/redundancy off — those
@@ -287,10 +300,6 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
   const std::string dump_cubing = CubeDumpFromMining(db, plan, tdb, cubing);
   EXPECT_FALSE(dump_shared.empty());
   EXPECT_EQ(dump_shared, dump_cubing);
-  for (const auto& [backend, result] : backend_results) {
-    EXPECT_EQ(CubeDumpFromMining(db, plan, tdb, result), dump_shared)
-        << CountBackendName(backend);
-  }
 
   FlowCubeBuilderOptions bopts;
   bopts.min_support = w.min_support;

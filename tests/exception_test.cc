@@ -107,21 +107,6 @@ TEST_F(ExceptionMinerTest, NonInformativePatternsSkipped) {
   EXPECT_TRUE(miner.Mine(graph_, paths_, {passage}).empty());
 }
 
-TEST_F(ExceptionMinerTest, LocalPatternMiningFindsTheSameException) {
-  ExceptionMiner miner(ExceptionMinerOptions{/*epsilon=*/0.3,
-                                             /*min_support=*/5});
-  const auto exceptions = miner.MineWithLocalPatterns(graph_, paths_);
-  bool found = false;
-  for (const FlowException& e : exceptions) {
-    if (e.kind == FlowException::Kind::kTransition &&
-        e.node == factory_ && e.transition_target == warehouse_ &&
-        e.condition.size() == 1 && e.condition[0].duration == 9) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(ExceptionMinerDuration, FindsDurationExceptionGivenPreviousDuration) {
   // The paper's second example: the duration at the next location depends
   // on the duration at the previous one.

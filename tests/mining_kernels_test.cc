@@ -1,28 +1,33 @@
 // Kernel-equivalence tests for the mining hot paths (DESIGN.md §13): every
 // simd.h kernel at every compiled-in level against its scalar reference,
-// and the three counting backends (scalar / simd / tidlist) against each
-// other over randomized transaction databases — including empty, 1-item,
-// and duplicate-heavy edge cases. Runs in the `unit` label, so the
-// asan-ubsan and tsan CI legs cover the intrinsics paths too.
+// and the tidlist counting engine against the reference engine (the
+// horizontal pair-index scan) over randomized transaction databases —
+// including empty, 1-item, duplicate-heavy and Zipf-skewed ones large
+// enough to reach the engine's sparse-list branch. Runs in the `unit`
+// label, so the asan-ubsan and tsan CI legs cover the intrinsics too.
 
 #include <algorithm>
 #include <set>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/audit.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "common/zipf.h"
 #include "mining/apriori.h"
 #include "mining/counting_backend.h"
 
 namespace flowcube {
 namespace {
 
-// Every level worth testing on this build: scalar always; the hardware's
-// ActiveLevel(); SSE2 explicitly when the build carries x86 kernels.
+// Every level worth testing on this build: scalar always; SSE2 and the
+// hardware's ActiveLevel() when the build carries x86 kernels.
 std::vector<simd::Level> TestLevels() {
   std::vector<simd::Level> levels = {simd::Level::kScalar};
   if (simd::ActiveLevel() != simd::Level::kScalar) {
@@ -43,55 +48,6 @@ std::vector<uint32_t> RandomSortedUnique(Random* rng, size_t max_len,
 }
 
 // --- simd.h primitives ------------------------------------------------------
-
-TEST(SimdKernels, FilterByU32MaskMatchesScalar) {
-  Random rng(7);
-  for (int round = 0; round < 200; ++round) {
-    const uint32_t universe = 1 + static_cast<uint32_t>(rng.Uniform(300));
-    const size_t mask_size = rng.Uniform(universe + 50);
-    std::vector<uint32_t> mask(mask_size);
-    for (auto& m : mask) m = rng.Uniform(2) ? 1 : 0;
-    // Unsorted ids, may exceed mask_size (bounds path).
-    std::vector<uint32_t> ids(rng.Uniform(40));
-    for (auto& id : ids) id = static_cast<uint32_t>(rng.Uniform(universe));
-
-    std::vector<uint32_t> want(ids.size() + 1, 0xdeadbeef);
-    const size_t want_n = simd::FilterByU32MaskScalar(
-        ids.data(), ids.size(), mask.data(), mask.size(), want.data());
-    for (simd::Level level : TestLevels()) {
-      std::vector<uint32_t> got(ids.size() + 1, 0xdeadbeef);
-      const size_t got_n =
-          simd::FilterByU32Mask(ids.data(), ids.size(), mask.data(),
-                                mask.size(), got.data(), level);
-      ASSERT_EQ(got_n, want_n) << simd::LevelName(level);
-      for (size_t i = 0; i < want_n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << simd::LevelName(level) << " at " << i;
-      }
-      // The slot one past the end is never written.
-      ASSERT_EQ(got[ids.size()], 0xdeadbeefu);
-    }
-  }
-}
-
-TEST(SimdKernels, PairProbeSlotsMatchesScalar) {
-  Random rng(11);
-  for (int round = 0; round < 200; ++round) {
-    const uint32_t a = static_cast<uint32_t>(rng.Uniform(1u << 20));
-    const uint64_t slot_mask = (1ull << (4 + rng.Uniform(16))) - 1;
-    std::vector<uint32_t> bs(rng.Uniform(30));
-    for (auto& b : bs) b = static_cast<uint32_t>(rng.Uniform(1u << 20));
-
-    std::vector<uint32_t> want(bs.size());
-    simd::PairProbeSlotsScalar(a, bs.data(), bs.size(), slot_mask,
-                               want.data());
-    for (simd::Level level : TestLevels()) {
-      std::vector<uint32_t> got(bs.size());
-      simd::PairProbeSlots(a, bs.data(), bs.size(), slot_mask, got.data(),
-                           level);
-      ASSERT_EQ(got, want) << simd::LevelName(level);
-    }
-  }
-}
 
 TEST(SimdKernels, IntersectCountMatchesScalarAndStd) {
   Random rng(13);
@@ -157,7 +113,7 @@ TEST(SimdKernels, AndPopcountAndAndIntoMatchScalar) {
   }
 }
 
-// --- Counting backends ------------------------------------------------------
+// --- Tidlist engine against the reference -----------------------------------
 
 // A randomized workload: transactions (sorted unique items) plus candidates
 // drawn from 2-4 item subsets of the item universe.
@@ -190,19 +146,32 @@ Workload MakeWorkload(uint64_t seed, bool duplicate_heavy) {
   return w;
 }
 
-std::vector<uint32_t> CountWith(const Workload& w, CountBackend backend,
-                                ThreadPool* pool) {
-  CandidateCounter counter;
-  counter.Reserve(w.candidates.size());
-  for (const Itemset& c : w.candidates) counter.Add(c);
-  counter.Finalize();
+std::vector<std::span<const ItemId>> Views(const Workload& w) {
   std::vector<std::span<const ItemId>> views;
   views.reserve(w.txns.size());
   for (const auto& t : w.txns) views.emplace_back(t);
-  CountAllTransactions(views, backend, pool, /*grain=*/8, &counter);
+  return views;
+}
+
+void Load(const Workload& w, CandidateCounter* counter) {
+  counter->Reserve(w.candidates.size());
+  for (const Itemset& c : w.candidates) counter->Add(c);
+}
+
+// The tidlist engine's counts, serial when `pool` is null.
+std::vector<uint32_t> CountWith(const Workload& w, ThreadPool* pool) {
+  CandidateCounter counter;
+  Load(w, &counter);
+  CountAllTransactions(Views(w), pool, /*grain=*/8, &counter);
   std::vector<uint32_t> counts(counter.size());
   for (size_t i = 0; i < counts.size(); ++i) counts[i] = counter.count(i);
   return counts;
+}
+
+std::vector<uint32_t> CountReference(const Workload& w) {
+  CandidateCounter counter;
+  Load(w, &counter);
+  return ReferenceCounts(Views(w), counter);
 }
 
 class BackendEquivalence : public ::testing::TestWithParam<uint64_t> {};
@@ -210,21 +179,13 @@ class BackendEquivalence : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BackendEquivalence, AllBackendsAgree) {
   for (const bool duplicate_heavy : {false, true}) {
     const Workload w = MakeWorkload(GetParam(), duplicate_heavy);
-    const auto scalar = CountWith(w, CountBackend::kScalar, nullptr);
-    const auto simd_counts = CountWith(w, CountBackend::kSimd, nullptr);
-    const auto tidlist = CountWith(w, CountBackend::kTidlist, nullptr);
-    ASSERT_EQ(simd_counts, scalar) << "simd vs scalar, seed " << GetParam();
-    ASSERT_EQ(tidlist, scalar) << "tidlist vs scalar, seed " << GetParam();
-
-    // Parallel scans shard-and-merge (horizontal) or split candidates
-    // (tidlist); counts must not depend on the split.
+    const auto reference = CountReference(w);
+    ASSERT_EQ(CountWith(w, nullptr), reference) << "seed " << GetParam();
+    // The engine splits candidates across threads; counts must not depend
+    // on the split.
     ThreadPool pool(4);
-    for (CountBackend backend :
-         {CountBackend::kScalar, CountBackend::kSimd, CountBackend::kTidlist}) {
-      ASSERT_EQ(CountWith(w, backend, &pool), scalar)
-          << CountBackendName(backend) << " with threads, seed "
-          << GetParam();
-    }
+    ASSERT_EQ(CountWith(w, &pool), reference)
+        << "with threads, seed " << GetParam();
   }
 }
 
@@ -232,33 +193,163 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BackendEquivalence,
                          ::testing::Range<uint64_t>(1, 21));
 
 TEST(BackendEquivalence, EmptyAndTinyInputs) {
-  // No candidates: counting is a no-op under every backend.
+  // No candidates: counting is a no-op for the engine and the reference.
   CandidateCounter counter;
-  counter.Finalize();
   std::vector<ItemId> txn = {1, 2, 3};
   std::vector<std::span<const ItemId>> views = {txn};
-  for (CountBackend b :
-       {CountBackend::kScalar, CountBackend::kSimd, CountBackend::kTidlist}) {
-    CountAllTransactions(views, b, nullptr, 8, &counter);
-  }
+  CountAllTransactions(views, nullptr, 8, &counter);
   EXPECT_EQ(counter.size(), 0u);
+  EXPECT_TRUE(ReferenceCounts(views, counter).empty());
 
   // No transactions: every count stays zero.
   Workload w;
   w.candidates = {{1, 2}, {2, 3, 4}};
-  for (CountBackend b :
-       {CountBackend::kScalar, CountBackend::kSimd, CountBackend::kTidlist}) {
-    const auto counts = CountWith(w, b, nullptr);
-    EXPECT_EQ(counts, (std::vector<uint32_t>{0, 0}));
+  EXPECT_EQ(CountWith(w, nullptr), (std::vector<uint32_t>{0, 0}));
+  EXPECT_EQ(CountReference(w), (std::vector<uint32_t>{0, 0}));
+}
+
+// The engine gives an item a bitmap when it occurs in at least max(1, n/128)
+// transactions (counting_backend.cc) and intersects sorted tidlists
+// otherwise; only candidates whose items are all dense take the bitmap
+// path. Below 256 transactions every present item is dense, so the sparse
+// branch (shortest-first ordering, the IntersectU32 chain, galloping
+// IntersectCountU32) needs workloads of this size.
+enum class Density { kDense, kMixed, kSparse };
+
+struct SkewedWorkload {
+  Workload w;
+  std::vector<Density> density;  // per candidate
+};
+
+// `k` distinct items of `pool` (which must hold at least k).
+std::vector<ItemId> Pick(Random* rng, std::vector<ItemId> pool, size_t k) {
+  for (size_t i = 0; i < k; ++i) {
+    std::swap(pool[i], pool[i + rng->Uniform(pool.size() - i)]);
+  }
+  pool.resize(k);
+  return pool;
+}
+
+SkewedWorkload MakeSkewedWorkload(uint64_t seed) {
+  Random rng(seed);
+  constexpr size_t kUniverse = 300;
+  const ZipfSampler zipf(kUniverse, 1.1);
+  // Ranks map to item ids through a random permutation, so a mixed
+  // candidate's smallest item is dense in some cases and sparse in others.
+  std::vector<ItemId> id_of(kUniverse);
+  for (size_t r = 0; r < kUniverse; ++r) id_of[r] = static_cast<ItemId>(r);
+  id_of = Pick(&rng, id_of, kUniverse);
+
+  SkewedWorkload out;
+  Workload& w = out.w;
+  const size_t n = 2000 + rng.Uniform(1000);
+  std::vector<uint32_t> occurrences(kUniverse, 0);
+  for (size_t t = 0; t < n; ++t) {
+    std::set<ItemId> items;
+    for (size_t k = 3 + rng.Uniform(10); k > 0; --k) {
+      items.insert(id_of[zipf.Sample(rng)]);
+    }
+    for (ItemId id : items) occurrences[id]++;
+    w.txns.emplace_back(items.begin(), items.end());
+  }
+  const size_t dense_threshold = std::max<size_t>(1, n / 128);
+  const auto is_dense = [&](ItemId id) {
+    return occurrences[id] >= dense_threshold;
+  };
+  std::vector<ItemId> dense;
+  std::vector<ItemId> sparse;
+  for (ItemId id = 0; id < kUniverse; ++id) {
+    if (occurrences[id] > 0) (is_dense(id) ? dense : sparse).push_back(id);
+  }
+
+  // Every (density, length) class gets random draws from the pools, and
+  // items co-occurring in a random transaction where it has enough of them,
+  // so that supports are not all zero.
+  std::set<Itemset> cands;
+  const auto add = [&cands](std::vector<ItemId> items) {
+    std::sort(items.begin(), items.end());
+    cands.insert(Itemset(items.begin(), items.end()));
+  };
+  const auto mixed = [&](const std::vector<ItemId>& d,
+                         const std::vector<ItemId>& s, size_t len) {
+    const size_t n_sparse = 1 + rng.Uniform(std::min(s.size(), len - 1));
+    std::vector<ItemId> items = Pick(&rng, s, n_sparse);
+    for (ItemId id : Pick(&rng, d, len - n_sparse)) items.push_back(id);
+    add(std::move(items));
+  };
+  for (size_t len = 2; len <= 4; ++len) {
+    for (int i = 0; i < 20; ++i) {
+      if (dense.size() >= len) add(Pick(&rng, dense, len));
+      if (sparse.size() >= len) add(Pick(&rng, sparse, len));
+      if (!sparse.empty() && dense.size() >= len - 1) {
+        mixed(dense, sparse, len);
+      }
+      std::vector<ItemId> td;
+      std::vector<ItemId> ts;
+      for (ItemId id : w.txns[rng.Uniform(n)]) {
+        (is_dense(id) ? td : ts).push_back(id);
+      }
+      if (td.size() >= len) add(Pick(&rng, td, len));
+      if (ts.size() >= len) add(Pick(&rng, ts, len));
+      if (!ts.empty() && td.size() >= len - 1) mixed(td, ts, len);
+    }
+  }
+  w.candidates = {cands.begin(), cands.end()};
+  for (const Itemset& c : w.candidates) {
+    const auto n_dense =
+        static_cast<size_t>(std::count_if(c.begin(), c.end(), is_dense));
+    out.density.push_back(n_dense == c.size() ? Density::kDense
+                          : n_dense == 0      ? Density::kSparse
+                                              : Density::kMixed);
+  }
+  return out;
+}
+
+TEST(BackendEquivalence, ZipfSkewedDenseMixedAndSparseCandidates) {
+  for (const uint64_t seed : {101, 202, 303}) {
+    const SkewedWorkload skewed = MakeSkewedWorkload(seed);
+    const Workload& w = skewed.w;
+    ASSERT_GE(w.txns.size(), 2000u);
+    const auto reference = CountReference(w);
+
+    // By construction every density class occurs at every length 2-4, and
+    // each class has candidates with nonzero support.
+    std::set<std::pair<Density, size_t>> classes;
+    std::set<Density> supported;
+    for (size_t i = 0; i < w.candidates.size(); ++i) {
+      classes.emplace(skewed.density[i], w.candidates[i].size());
+      if (reference[i] > 0) supported.insert(skewed.density[i]);
+    }
+    for (const Density d : {Density::kDense, Density::kMixed,
+                            Density::kSparse}) {
+      for (size_t len = 2; len <= 4; ++len) {
+        EXPECT_TRUE(classes.contains({d, len}))
+            << "seed " << seed << " density " << static_cast<int>(d)
+            << " length " << len;
+      }
+      EXPECT_TRUE(supported.contains(d))
+          << "seed " << seed << " density " << static_cast<int>(d);
+    }
+
+    ASSERT_EQ(CountWith(w, nullptr), reference) << "seed " << seed;
+    ThreadPool pool(4);
+    ASSERT_EQ(CountWith(w, &pool), reference)
+        << "with threads, seed " << seed;
   }
 }
 
-TEST(ResolveCountBackendTest, ExplicitRequestWins) {
-  EXPECT_EQ(ResolveCountBackend(CountBackend::kScalar), CountBackend::kScalar);
-  EXPECT_EQ(ResolveCountBackend(CountBackend::kSimd), CountBackend::kSimd);
-  EXPECT_EQ(ResolveCountBackend(CountBackend::kTidlist),
-            CountBackend::kTidlist);
-  EXPECT_NE(ResolveCountBackend(CountBackend::kAuto), CountBackend::kAuto);
+TEST(CountAuditTest, FlagsACountTheReferenceDisagreesWith) {
+  const Workload w = MakeWorkload(5, /*duplicate_heavy=*/false);
+  CandidateCounter counter;
+  Load(w, &counter);
+  const auto views = Views(w);
+  CountAllTransactions(views, nullptr, 8, &counter);
+  EXPECT_TRUE(AuditCandidateCounts(views, counter).ok());
+  counter.AddCount(counter.size() - 1, 1);
+  const AuditReport report = AuditCandidateCounts(views, counter);
+  ASSERT_EQ(report.violations().size(), 1u);
+  EXPECT_NE(report.violations()[0].find("reference"), std::string::npos)
+      << report.ToString();
 }
 
 }  // namespace

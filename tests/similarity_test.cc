@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "flowgraph/builder.h"
 #include "flowgraph/similarity.h"
 #include "gen/paper_example.h"
@@ -54,16 +55,34 @@ TEST(Similarity, EmptyGraphConventions) {
   EXPECT_DOUBLE_EQ(FlowGraphDistance(empty, some), 1.0);
 }
 
+// Random paths over a small location and duration alphabet, so that two
+// draws overlap in some branches, differ in others, and insert shared
+// children in different orders.
+std::vector<Path> RandomPaths(Random* rng) {
+  std::vector<Path> out(1 + rng->Uniform(30));
+  for (Path& p : out) {
+    for (size_t len = 1 + rng->Uniform(4); len > 0; --len) {
+      p.stages.push_back(Stage{static_cast<NodeId>(1 + rng->Uniform(5)),
+                               static_cast<Duration>(1 + rng->Uniform(4))});
+    }
+  }
+  return out;
+}
+
 TEST(Similarity, DistanceIsSymmetric) {
-  const auto pa = MakePaths({{{1, 2}, 1}, {{1, 3}, 1}}, {7, 3});
-  const auto pb = MakePaths({{{1, 2}, 1}, {{1, 4}, 2}}, {5, 5});
-  const FlowGraph a = BuildFlowGraph(pa);
-  const FlowGraph b = BuildFlowGraph(pb);
-  EXPECT_NEAR(FlowGraphDistance(a, b), FlowGraphDistance(b, a), 1e-12);
+  // Bitwise: redundancy flags compare distances against tau, so (a, b) and
+  // (b, a) must not differ even in the last bit.
   SimilarityOptions kl;
   kl.kind = DivergenceKind::kKullbackLeibler;
-  EXPECT_NEAR(FlowGraphDistance(a, b, kl), FlowGraphDistance(b, a, kl),
-              1e-9);
+  Random rng(29);
+  for (int round = 0; round < 300; ++round) {
+    const FlowGraph a = BuildFlowGraph(RandomPaths(&rng));
+    const FlowGraph b = BuildFlowGraph(RandomPaths(&rng));
+    EXPECT_EQ(FlowGraphDistance(a, b), FlowGraphDistance(b, a))
+        << "round " << round;
+    EXPECT_EQ(FlowGraphDistance(a, b, kl), FlowGraphDistance(b, a, kl))
+        << "round " << round;
+  }
 }
 
 TEST(Similarity, GrowsWithTransitionShift) {

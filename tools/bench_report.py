@@ -5,14 +5,21 @@ Each BENCH document is matched to the baseline file of the same name; rows
 are keyed by their string-valued fields (x, algo, backend, ...), so the
 report survives row reordering and added series. A baseline row the
 current run lacks is reported as a "missing row" line (not a regression,
-so the exit code is unchanged). Lower-is-better metrics
-(seconds, seconds_mine, seconds_setup) regress when they grow; *_per_sec
-metrics regress when they shrink. Scales must match, otherwise the pair is
+so the exit code is unchanged). Scales must match, otherwise the pair is
 skipped with a note — a baseline captured at scale=1.0 says nothing about a
 scale=0.02 smoke run.
 
-Exit code is 0 unless --strict is given and a regression exceeded the
-threshold. Lines use GitHub ::warning:: markers so regressions surface as
+Two kinds of field are compared:
+  - exact fields (candidates, frequent, passes, transactions, cells,
+    redundant, exceptions) are counts that neither noise nor the thread
+    count moves. Any difference from the baseline row is an error and
+    makes the exit code 1, with or without --strict.
+  - timings: lower-is-better metrics (seconds, seconds_mine,
+    seconds_setup) regress when they grow; *_per_sec metrics regress when
+    they shrink. A regression beyond --threshold is a warning; it makes
+    the exit code 1 only under --strict.
+
+Lines use GitHub ::error:: / ::warning:: markers so they surface as
 annotations in the nightly job.
 
 Usage:
@@ -26,6 +33,8 @@ from pathlib import Path
 
 LOWER_IS_BETTER = ("seconds", "seconds_mine", "seconds_setup")
 HIGHER_IS_BETTER_SUFFIX = "_per_sec"
+EXACT_FIELDS = ("candidates", "frequent", "passes", "transactions", "cells",
+                "redundant", "exceptions")
 
 
 def row_key(row):
@@ -49,13 +58,29 @@ def fmt_key(key):
     return "/".join(f"{v}" for _, v in key) or "(row)"
 
 
+def compare_exact(name, key, base_row, row, lines):
+    """Appends an error line per exact field that differs; returns the count."""
+    mismatches = 0
+    for field in EXACT_FIELDS:
+        if field not in base_row and field not in row:
+            continue
+        ref, value = base_row.get(field), row.get(field)
+        if ref == value:
+            continue
+        mismatches += 1
+        lines.append(f"{name} {fmt_key(key)} {field}: {ref} -> {value}  "
+                     "::error::exact field differs from the baseline")
+    return mismatches
+
+
 def compare_doc(name, base, cur, threshold, lines):
-    regressions = 0
+    """Returns (timing regressions, exact-field mismatches)."""
+    regressions = mismatches = 0
     if base.get("scale") != cur.get("scale"):
         lines.append(f"{name}: scale mismatch (baseline "
                      f"{base.get('scale')} vs current {cur.get('scale')}); "
                      "skipped")
-        return 0
+        return 0, 0
     base_rows = {row_key(r): r for r in base.get("rows", [])}
     cur_keys = {row_key(r) for r in cur.get("rows", [])}
     for key in base_rows:
@@ -68,6 +93,7 @@ def compare_doc(name, base, cur, threshold, lines):
         if base_row is None:
             lines.append(f"{name} {fmt_key(key)}: new row (no baseline)")
             continue
+        mismatches += compare_exact(name, key, base_row, row, lines)
         for metric, (direction, value) in metrics_of(row).items():
             ref = base_row.get(metric)
             if not isinstance(ref, (int, float)) or ref <= 0 or value <= 0:
@@ -80,7 +106,7 @@ def compare_doc(name, base, cur, threshold, lines):
                 regressions += 1
             lines.append(f"{name} {fmt_key(key)} {metric}: "
                          f"{ref:.4g} -> {value:.4g}{marker}")
-    return regressions
+    return regressions, mismatches
 
 
 def main():
@@ -93,7 +119,8 @@ def main():
                     help="regression ratio above which a warning is "
                          "emitted (default 1.15 = 15%% worse)")
     ap.add_argument("--strict", action="store_true",
-                    help="exit 1 if any regression exceeded the threshold")
+                    help="also exit 1 if a timing regression exceeded the "
+                         "threshold (exact-field differences always do)")
     args = ap.parse_args()
 
     baseline_dir = Path(args.baseline)
@@ -103,7 +130,7 @@ def main():
         print(f"no BENCH_*.json under {current_dir}", file=sys.stderr)
         return 2
 
-    lines, regressions = [], 0
+    lines, regressions, mismatches = [], 0, 0
     for cur_path in current_files:
         base_path = baseline_dir / cur_path.name
         if not base_path.exists():
@@ -113,12 +140,15 @@ def main():
             continue
         cur = json.loads(cur_path.read_text())
         base = json.loads(base_path.read_text())
-        regressions += compare_doc(cur_path.name, base, cur,
-                                   args.threshold, lines)
+        doc_regressions, doc_mismatches = compare_doc(
+            cur_path.name, base, cur, args.threshold, lines)
+        regressions += doc_regressions
+        mismatches += doc_mismatches
 
     print("\n".join(lines))
-    print(f"\n{regressions} regression(s) above x{args.threshold:.2f}")
-    if regressions and args.strict:
+    print(f"\n{regressions} regression(s) above x{args.threshold:.2f}, "
+          f"{mismatches} exact-field mismatch(es)")
+    if mismatches or (regressions and args.strict):
         return 1
     return 0
 
