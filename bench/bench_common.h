@@ -20,10 +20,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "cube/cubing_miner.h"
+#include "flowcube/builder.h"
 #include "gen/path_generator.h"
 #include "mining/shared_miner.h"
 
@@ -265,6 +267,42 @@ inline MinerRun RunCubing(const PathDatabase& db, uint32_t minsup) {
                   out.stats.passes, out.stats.candidates_per_length};
 }
 
+// One full FlowCubeBuilder::Build: total and per-phase seconds, plus the
+// exact counts bench_report gates.
+struct BuildRun {
+  double seconds = 0.0;
+  double seconds_transform = 0.0;
+  double seconds_mining = 0.0;
+  double seconds_measures = 0.0;
+  double seconds_redundancy = 0.0;
+  uint64_t cells = 0;
+  uint64_t redundant = 0;
+  uint64_t exceptions = 0;
+};
+
+// The fastest of `repeats` single-threaded builds at the default plan,
+// every phase timed in that build. One build spreads too widely on a
+// shared host to resolve bench_report's 15% threshold; the counts are the
+// same in every build.
+inline BuildRun RunBuild(const PathDatabase& db, uint32_t minsup,
+                         int repeats = 3) {
+  const FlowCubePlan plan = FlowCubePlan::Default(db.schema()).value();
+  FlowCubeBuilderOptions opts;
+  opts.min_support = minsup;
+  opts.num_threads = 1;
+  BuildRun best;
+  for (int r = 0; r < repeats; ++r) {
+    FlowCubeBuildStats stats;
+    FC_CHECK(FlowCubeBuilder(opts).Build(db, plan, &stats).ok());
+    if (r > 0 && stats.seconds_total >= best.seconds) continue;
+    best = BuildRun{stats.seconds_total,      stats.seconds_transform,
+                    stats.seconds_mining,     stats.seconds_measures,
+                    stats.seconds_redundancy, stats.cells_materialized,
+                    stats.cells_marked_redundant, stats.exceptions_found};
+  }
+  return best;
+}
+
 // One row of a sweep table.
 struct Row {
   std::string x;
@@ -286,6 +324,11 @@ class Summary {
         expectation_(std::move(expectation)) {}
 
   void Add(Row row) { rows_.push_back(std::move(row)); }
+  // A full-build row (algo "build"), printed and written after the miner
+  // rows.
+  void AddBuild(std::string x, std::string note, BuildRun run) {
+    builds_.push_back({std::move(x), std::move(note), run});
+  }
 
   void Print() const {
     std::printf("\n=== %s ===\n", title_.c_str());
@@ -306,6 +349,22 @@ class Summary {
                     "n/a", r.note.c_str());
       }
     }
+    if (!builds_.empty()) {
+      std::printf("\n%-18s %-8s %12s %10s %10s %10s %10s %8s %10s %10s\n",
+                  "x", "algo", "seconds", "transform", "mining", "measures",
+                  "redundancy", "cells", "redundant", "exceptions");
+      for (const BuildRow& b : builds_) {
+        std::printf(
+            "%-18s %-8s %12.3f %10.3f %10.3f %10.3f %10.3f %8llu %10llu "
+            "%10llu\n",
+            b.x.c_str(), "build", b.run.seconds, b.run.seconds_transform,
+            b.run.seconds_mining, b.run.seconds_measures,
+            b.run.seconds_redundancy,
+            static_cast<unsigned long long>(b.run.cells),
+            static_cast<unsigned long long>(b.run.redundant),
+            static_cast<unsigned long long>(b.run.exceptions));
+      }
+    }
     WriteJson();
   }
 
@@ -322,15 +381,36 @@ class Summary {
                    JsonField::Int("passes", static_cast<uint64_t>(r.run.passes)),
                    JsonField::Str("note", r.note)});
     }
+    for (const BuildRow& b : builds_) {
+      json.AddRow({JsonField::Str("x", b.x), JsonField::Str("algo", "build"),
+                   JsonField::Bool("ran", true),
+                   JsonField::Num("seconds", b.run.seconds),
+                   JsonField::Num("seconds_transform", b.run.seconds_transform),
+                   JsonField::Num("seconds_mining", b.run.seconds_mining),
+                   JsonField::Num("seconds_measures", b.run.seconds_measures),
+                   JsonField::Num("seconds_redundancy",
+                                  b.run.seconds_redundancy),
+                   JsonField::Int("cells", b.run.cells),
+                   JsonField::Int("redundant", b.run.redundant),
+                   JsonField::Int("exceptions", b.run.exceptions),
+                   JsonField::Str("note", b.note)});
+    }
     json.Write();
   }
 
  private:
+  struct BuildRow {
+    std::string x;
+    std::string note;
+    BuildRun run;
+  };
+
   std::string name_;
   std::string knob_;
   std::string title_;
   std::string expectation_;
   std::vector<Row> rows_;
+  std::vector<BuildRow> builds_;
 };
 
 // Cache of generated databases so the three algorithms of one sweep point

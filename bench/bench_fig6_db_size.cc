@@ -3,6 +3,12 @@
 //
 // Paper shape: shared and cubing close on small inputs, shared's slope
 // smaller; basic only runnable on the two smallest sizes.
+//
+// Beside the miner rows, one full-build row (algo "build"): the whole
+// FlowCubeBuilder::Build — transform, Shared mining, cell measures,
+// redundancy — at the d=3 baseline shape, 100k paths at scale 1, delta =
+// 1%, one thread, fastest of three builds, with the phase split and the
+// materialized counts.
 
 #include <benchmark/benchmark.h>
 
@@ -73,6 +79,25 @@ void RegisterAll() {
           ->Unit(benchmark::kSecond);
     }
   }
+
+  const size_t n = ScaledN(100);
+  const uint32_t minsup = std::max<uint32_t>(1, static_cast<uint32_t>(n / 100));
+  const std::string bench_name = "fig6/build/N=" + std::to_string(n);
+  benchmark::RegisterBenchmark(
+      bench_name.c_str(),
+      [n, minsup](benchmark::State& state) {
+        const PathDatabase& db = Cache().Get(BaselineConfig(3), n);
+        for (auto _ : state) {
+          const BuildRun run = RunBuild(db, minsup);
+          state.SetIterationTime(run.seconds);
+          state.counters["cells"] = static_cast<double>(run.cells);
+          GetSummary().AddBuild(std::to_string(n) + " paths",
+                                "d=3, 1 thread, fastest of 3 builds", run);
+        }
+      })
+      ->UseManualTime()
+      ->Iterations(1)
+      ->Unit(benchmark::kSecond);
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 #include "common/trace.h"
 #include "flowcube/cell_build.h"
 #include "mining/mining_result.h"
-#include "path/path_aggregator.h"
-#include "path/path_view.h"
+#include "mining/stage_chains.h"
 
 namespace flowcube {
 
@@ -60,23 +59,14 @@ Result<FlowCube> FlowCubeBuilder::Build(const PathDatabase& db,
   TraceSpan measures_span("flowcube.measures");
   FlowCube cube(plan, db.schema_ptr());
   const ItemCatalog& cat = tdb.catalog();
-  const PathAggregator aggregator(db.schema_ptr());
   const ExceptionMiner exception_miner(options_.exceptions);
 
-  // Aggregated view of every path at every materialized path level. Each
-  // record aggregates independently into its own slot.
-  std::vector<std::vector<Path>> agg(plan.path_levels.size());
-  for (size_t p = 0; p < plan.path_levels.size(); ++p) {
-    const PathLevel& level =
-        plan.mining.path_levels[static_cast<size_t>(plan.path_levels[p])];
-    agg[p].resize(db.size());
-    pool.ParallelFor(db.size(), /*grain=*/64, [&](size_t tid) {
-      agg[p][tid] = aggregator.AggregatePath(
-          db.record(tid).path,
-          plan.mining.cuts[static_cast<size_t>(level.cut_index)],
-          level.duration_level);
-    });
-  }
+  // Every path at every materialized path level, as the stage-item chain
+  // the transform already resolved: the cells' graphs are counted from
+  // these, with no per-member walk.
+  StageChains chains(plan.path_levels, plan.mining.path_levels.size());
+  for (const Transaction& txn : tdb.transactions()) chains.Append(txn, cat);
+  std::vector<MeasureScratch> scratch(num_shards);
 
   for (size_t i = 0; i < plan.item_levels.size(); ++i) {
     const ItemLevel& il = plan.item_levels[i];
@@ -115,10 +105,6 @@ Result<FlowCube> FlowCubeBuilder::Build(const PathDatabase& db,
           for (size_t task = begin; task < end; ++task) {
             const size_t p = task / cells.size();
             const auto& [key, tids] = *cells[task % cells.size()];
-            // View of the cell's member paths over the shared aggregation
-            // table — no per-cell copies.
-            const PathView paths(agg[p], tids);
-
             FlowCell& cell = built[task];
             cell.dims = key;
             const std::vector<SegmentPattern> segments =
@@ -126,9 +112,9 @@ Result<FlowCube> FlowCubeBuilder::Build(const PathDatabase& db,
                     ? result.SegmentsForCell(key, plan.path_levels[p])
                     : std::vector<SegmentPattern>();
             shard_exceptions[shard] += FillCellMeasure(
-                paths, segments, cat,
+                chains.level(p), tids, segments, cat,
                 options_.compute_exceptions ? &exception_miner : nullptr,
-                &cell);
+                &scratch[shard], &cell);
           }
         });
     for (size_t n : shard_exceptions) stats->exceptions_found += n;

@@ -2,29 +2,11 @@
 
 #include <algorithm>
 
-#include "flowgraph/builder.h"
+#include "common/audit.h"
+#include "common/logging.h"
+#include "common/metrics.h"
 
 namespace flowcube {
-
-bool SegmentToPattern(const SegmentPattern& segment, const ItemCatalog& cat,
-                      const FlowGraph& g,
-                      std::vector<StageCondition>* pattern) {
-  pattern->clear();
-  for (ItemId id : segment.stages) {
-    const auto& info = cat.StageOf(id);
-    FlowNodeId node = FlowGraph::kRoot;
-    for (NodeId loc : cat.trie().Locations(info.prefix)) {
-      node = g.FindChild(node, loc);
-      if (node == FlowGraph::kTerminate) return false;
-    }
-    pattern->push_back(StageCondition{node, info.duration});
-  }
-  std::sort(pattern->begin(), pattern->end(),
-            [&g](const StageCondition& a, const StageCondition& b) {
-              return g.depth(a.node) < g.depth(b.node);
-            });
-  return true;
-}
 
 bool ParentCellKey(const Itemset& cell, size_t dim, const ItemCatalog& cat,
                    const PathSchema& schema, Itemset* parent) {
@@ -59,31 +41,198 @@ void CellKeyAtLevel(const PathRecord& rec, const ItemLevel& il,
   std::sort(key->begin(), key->end());
 }
 
-size_t FillCellMeasure(const PathView& paths,
+namespace {
+
+// Maps a mined path segment (stage items) into the cell graph's node space
+// through the counter's prefix map, sorted by node depth. Returns false
+// when some prefix has no node in the cell (cannot happen for segments
+// mined from the cell's own paths, but guards external input).
+bool SegmentToPattern(const SegmentPattern& segment, const ItemCatalog& cat,
+                      const MeasureScratch& s,
+                      std::vector<StageCondition>* pattern) {
+  pattern->clear();
+  for (ItemId id : segment.stages) {
+    const ItemCatalog::StageInfo& info = cat.StageOf(id);
+    const uint32_t node = info.prefix < s.node_of_prefix.size()
+                              ? s.node_of_prefix[info.prefix]
+                              : MeasureScratch::kUnset;
+    if (node == MeasureScratch::kUnset) return false;
+    pattern->push_back(StageCondition{node, info.duration});
+  }
+  std::sort(pattern->begin(), pattern->end(),
+            [&s](const StageCondition& a, const StageCondition& b) {
+              return s.depth[a.node] < s.depth[b.node];
+            });
+  return true;
+}
+
+// Copies a scratch column into a vector of exactly its size, the capacity
+// Seal() reserves.
+template <typename T>
+std::vector<T> Exact(const std::vector<T>& v) {
+  return std::vector<T>(v.begin(), v.end());
+}
+
+// Counts the members' chains into `s` and returns the sealed columns.
+FlowGraph::SealedColumns CountColumns(const LevelChains& chains,
+                                      std::span<const uint32_t> tids,
+                                      const ItemCatalog& cat, bool resolve,
+                                      MeasureScratch* scratch) {
+  MeasureScratch& s = *scratch;
+  const size_t num_dim_items = cat.num_dim_items();
+  if (s.node_of_prefix.size() < cat.trie().size()) {
+    s.node_of_prefix.resize(cat.trie().size(), MeasureScratch::kUnset);
+  }
+  if (s.slot_of_item.size() < cat.num_items() - num_dim_items) {
+    s.slot_of_item.resize(cat.num_items() - num_dim_items,
+                          MeasureScratch::kUnset);
+  }
+  s.prefix.assign(1, kEmptyPrefix);
+  s.parent.assign(1, FlowGraph::kRoot);
+  s.depth.assign(1, 0);
+  s.path_count.assign(1, static_cast<uint32_t>(tids.size()));
+  s.terminate_count.assign(1, 0);
+  s.items.clear();
+  s.item_node.clear();
+  s.item_count.clear();
+  s.member_begin.assign(1, 0);
+  s.member_nodes.clear();
+  s.member_durations.clear();
+
+  for (uint32_t tid : tids) {
+    const std::span<const ItemId> chain = chains[tid];
+    FC_DCHECK(!chain.empty());
+    FlowNodeId node = FlowGraph::kRoot;
+    for (ItemId id : chain) {
+      uint32_t& slot = s.slot_of_item[id - num_dim_items];
+      if (slot == MeasureScratch::kUnset) {
+        const ItemCatalog::StageInfo& info = cat.StageOf(id);
+        uint32_t& prefix_node = s.node_of_prefix[info.prefix];
+        if (prefix_node == MeasureScratch::kUnset) {
+          // First appearance of the prefix: a new node under the previous
+          // stage's, exactly where AddPath would create it.
+          prefix_node = static_cast<uint32_t>(s.prefix.size());
+          s.prefix.push_back(info.prefix);
+          s.parent.push_back(node);
+          s.depth.push_back(s.depth[node] + 1);
+          s.path_count.push_back(0);
+          s.terminate_count.push_back(0);
+        }
+        slot = static_cast<uint32_t>(s.items.size());
+        s.items.push_back(id);
+        s.item_node.push_back(prefix_node);
+        s.item_count.push_back(0);
+      }
+      node = s.item_node[slot];
+      s.path_count[node]++;
+      s.item_count[slot]++;
+      if (resolve) {
+        s.member_nodes.push_back(node);
+        s.member_durations.push_back(cat.StageOf(id).duration);
+      }
+    }
+    s.terminate_count[node]++;
+    if (resolve) {
+      s.member_begin.push_back(static_cast<uint32_t>(s.member_nodes.size()));
+    }
+  }
+
+  const size_t n = s.prefix.size();
+  FlowGraph::SealedColumns c;
+  c.location.resize(n);
+  c.location[FlowGraph::kRoot] = kInvalidNode;
+  for (size_t i = 1; i < n; ++i) {
+    c.location[i] = cat.trie().location(s.prefix[i]);
+  }
+  c.parent = Exact(s.parent);
+  c.depth = Exact(s.depth);
+  c.path_count = Exact(s.path_count);
+  c.terminate_count = Exact(s.terminate_count);
+
+  // Children bucketed by parent; filling in id order keeps each bucket in
+  // creation order, AddPath's child order.
+  c.child_begin.assign(n + 1, 0);
+  for (size_t i = 1; i < n; ++i) c.child_begin[s.parent[i] + 1]++;
+  for (size_t i = 0; i < n; ++i) c.child_begin[i + 1] += c.child_begin[i];
+  c.child_arena.resize(n - 1);
+  s.cursor.assign(c.child_begin.begin(), c.child_begin.end() - 1);
+  for (size_t i = 1; i < n; ++i) {
+    c.child_arena[s.cursor[s.parent[i]]++] = static_cast<FlowNodeId>(i);
+  }
+
+  // One (duration, count) entry per distinct stage item, bucketed by node
+  // and sorted by duration within the node: BumpDuration's order.
+  const size_t num_items = s.items.size();
+  c.duration_begin.assign(n + 1, 0);
+  for (size_t k = 0; k < num_items; ++k) {
+    c.duration_begin[s.item_node[k] + 1]++;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    c.duration_begin[i + 1] += c.duration_begin[i];
+  }
+  c.duration_arena.resize(num_items);
+  s.cursor.assign(c.duration_begin.begin(), c.duration_begin.end() - 1);
+  for (size_t k = 0; k < num_items; ++k) {
+    c.duration_arena[s.cursor[s.item_node[k]]++] =
+        DurationCount{cat.StageOf(s.items[k]).duration, s.item_count[k]};
+  }
+  for (size_t i = 1; i < n; ++i) {
+    std::sort(c.duration_arena.begin() + c.duration_begin[i],
+              c.duration_arena.begin() + c.duration_begin[i + 1],
+              [](const DurationCount& a, const DurationCount& b) {
+                return a.duration < b.duration;
+              });
+  }
+  return c;
+}
+
+}  // namespace
+
+size_t FillCellMeasure(const LevelChains& chains,
+                       std::span<const uint32_t> tids,
                        const std::vector<SegmentPattern>& segments,
                        const ItemCatalog& cat,
-                       const ExceptionMiner* exception_miner, FlowCell* cell) {
-  cell->support = static_cast<uint32_t>(paths.size());
-  cell->graph = BuildFlowGraph(paths);
+                       const ExceptionMiner* exception_miner,
+                       MeasureScratch* scratch, FlowCell* cell) {
+  // Runs once per (cell, path level) from parallel loops; two relaxed
+  // atomic adds per graph, shared with BuildFlowGraph.
+  static Counter& m_graphs =
+      MetricRegistry::Global().counter("flowgraph.build.graphs");
+  static Counter& m_paths =
+      MetricRegistry::Global().counter("flowgraph.build.paths_added");
+  MeasureScratch& s = *scratch;
+  cell->support = static_cast<uint32_t>(tids.size());
+  cell->graph = FlowGraph::FromSealedColumns(
+      CountColumns(chains, tids, cat, exception_miner != nullptr, &s));
+  m_graphs.Increment();
+  m_paths.Add(tids.size());
+  FC_AUDIT(AuditFlowGraph(cell->graph));
+
   size_t exceptions = 0;
   if (exception_miner != nullptr) {
     std::vector<std::vector<StageCondition>> patterns;
-    std::vector<StageCondition> pattern;
     for (const SegmentPattern& seg : segments) {
-      if (SegmentToPattern(seg, cat, cell->graph, &pattern)) {
-        patterns.push_back(pattern);
+      if (SegmentToPattern(seg, cat, s, &s.pattern)) {
+        patterns.push_back(s.pattern);
       }
     }
+    const ResolvedPaths members{s.member_begin, s.member_nodes,
+                                s.member_durations};
     for (FlowException& e :
-         exception_miner->Mine(cell->graph, paths, patterns)) {
+         exception_miner->Mine(cell->graph, members, patterns)) {
       cell->graph.AddException(std::move(e));
       exceptions++;
     }
   }
-  // The measure is final: freeze it into the columnar form. Every graph
-  // resident in a cube — batch-built, stream-rebuilt, or restored — is
-  // sealed; only accumulation-side graphs stay mutable.
-  cell->graph.Seal();
+
+  // Leave the dense maps all-unset for the next cell.
+  for (size_t i = 1; i < s.prefix.size(); ++i) {
+    s.node_of_prefix[s.prefix[i]] = MeasureScratch::kUnset;
+  }
+  const size_t num_dim_items = cat.num_dim_items();
+  for (ItemId id : s.items) {
+    s.slot_of_item[id - num_dim_items] = MeasureScratch::kUnset;
+  }
   return exceptions;
 }
 

@@ -1,14 +1,15 @@
 #ifndef FLOWCUBE_FLOWCUBE_CELL_BUILD_H_
 #define FLOWCUBE_FLOWCUBE_CELL_BUILD_H_
 
+#include <span>
 #include <vector>
 
 #include "flowcube/flowcube.h"
 #include "flowgraph/exception_miner.h"
 #include "flowgraph/similarity.h"
 #include "mining/mining_result.h"
+#include "mining/stage_chains.h"
 #include "path/path.h"
-#include "path/path_view.h"
 
 namespace flowcube {
 
@@ -16,13 +17,6 @@ namespace flowcube {
 // streaming IncrementalMaintainer. Both assemble cells through these exact
 // functions, so an incrementally maintained cube is bit-identical to a
 // from-scratch rebuild by construction rather than by coincidence.
-
-// Maps a mined path segment (stage items) into flowgraph node space.
-// Returns false when some prefix has no node in `g` (cannot happen for
-// segments mined from the cell's own paths, but guards external input).
-// The output pattern is sorted by node depth.
-bool SegmentToPattern(const SegmentPattern& segment, const ItemCatalog& cat,
-                      const FlowGraph& g, std::vector<StageCondition>* pattern);
 
 // The parent coordinates of `cell` when dimension `dim` is generalized one
 // level. Returns false when the cell has no item of that dimension (already
@@ -38,16 +32,58 @@ void CellKeyAtLevel(const PathRecord& rec, const ItemLevel& il,
                     const ItemCatalog& cat, const PathSchema& schema,
                     Itemset* key);
 
-// Fills one cell's measure from its member paths: support, flowgraph, and
-// (when `exception_miner` is non-null) exceptions evaluated against the
-// cell's frequent path segments, which must be sorted the way
-// MiningResult::SegmentsForCell emits them (support desc, stages asc).
-// `cell->dims` must already hold the coordinates. Returns the number of
-// exceptions recorded.
-size_t FillCellMeasure(const PathView& paths,
+// Reusable state of FillCellMeasure, one per thread: dense maps over the
+// prefix trie and the stage items that are all-unset between calls, plus
+// growable count buffers, so that counting a cell allocates only the
+// cell's own sealed columns.
+struct MeasureScratch {
+  static constexpr uint32_t kUnset = static_cast<uint32_t>(-1);
+
+  // Prefix -> cell-local node id; stage item (minus num_dim_items) ->
+  // index into the per-item vectors below.
+  std::vector<uint32_t> node_of_prefix;
+  std::vector<uint32_t> slot_of_item;
+
+  // Per node (index = node id; the root is node 0).
+  std::vector<PrefixId> prefix;
+  std::vector<FlowNodeId> parent;
+  std::vector<int32_t> depth;
+  std::vector<uint32_t> path_count;
+  std::vector<uint32_t> terminate_count;
+
+  // Per distinct stage item, in first-appearance order.
+  std::vector<ItemId> items;
+  std::vector<FlowNodeId> item_node;
+  std::vector<uint32_t> item_count;
+
+  // The members resolved into node space (ExceptionMiner's input).
+  std::vector<uint32_t> member_begin;
+  std::vector<FlowNodeId> member_nodes;
+  std::vector<Duration> member_durations;
+
+  // CSR fill cursors and one mapped segment.
+  std::vector<uint32_t> cursor;
+  std::vector<StageCondition> pattern;
+};
+
+// Fills one cell's measure from its members' stage chains at one path
+// level: support, the sealed flowgraph, and (when `exception_miner` is
+// non-null) exceptions evaluated against the cell's frequent path
+// segments, which must be sorted the way MiningResult::SegmentsForCell
+// emits them (support desc, stages asc). `tids` must be ascending.
+//
+// The graph is counted straight into its sealed columns: nodes are the
+// members' distinct prefixes, numbered in first appearance over ascending
+// tids and stage order, which is AddPath's numbering, so the graph equals
+// BuildFlowGraph + Seal() over the members' aggregated paths, column by
+// column. `cell->dims` must already hold the coordinates. Returns the
+// number of exceptions recorded.
+size_t FillCellMeasure(const LevelChains& chains,
+                       std::span<const uint32_t> tids,
                        const std::vector<SegmentPattern>& segments,
                        const ItemCatalog& cat,
-                       const ExceptionMiner* exception_miner, FlowCell* cell);
+                       const ExceptionMiner* exception_miner,
+                       MeasureScratch* scratch, FlowCell* cell);
 
 // Definition 4.4 redundancy of one cell of cuboid <il, path level pl_index>:
 // true iff at least one materialized parent exists and the cell's graph is

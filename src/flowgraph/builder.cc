@@ -6,8 +6,8 @@
 namespace flowcube {
 
 FlowGraph BuildFlowGraph(PathView paths) {
-  // BuildFlowGraph runs once per (cell, path level) from parallel loops;
-  // two relaxed atomic adds per graph are negligible next to AddPath.
+  // BuildFlowGraph may run from parallel loops; two relaxed atomic adds per
+  // graph are negligible next to AddPath.
   static Counter& m_graphs =
       MetricRegistry::Global().counter("flowgraph.build.graphs");
   static Counter& m_paths =

@@ -10,35 +10,18 @@
 namespace flowcube {
 namespace {
 
-// Per-path node chains: chain[i] is the flowgraph node of stage i.
-std::vector<std::vector<FlowNodeId>> BuildChains(const FlowGraph& g,
-                                                 PathView paths) {
-  std::vector<std::vector<FlowNodeId>> chains;
-  chains.reserve(paths.size());
-  for (const Path& p : paths) {
-    std::vector<FlowNodeId> chain;
-    chain.reserve(p.stages.size());
-    FlowNodeId cur = FlowGraph::kRoot;
-    for (const Stage& s : p.stages) {
-      cur = g.FindChild(cur, s.location);
-      FC_CHECK_MSG(cur != FlowGraph::kTerminate,
-                   "path does not belong to this flowgraph");
-      chain.push_back(cur);
-    }
-    chains.push_back(std::move(chain));
-  }
-  return chains;
-}
-
-bool Matches(const std::vector<StageCondition>& pattern, const Path& path,
-             const std::vector<FlowNodeId>& chain, const FlowGraph& g) {
+// True when path `i` satisfies every condition of `pattern`.
+bool Matches(const std::vector<StageCondition>& pattern,
+             const ResolvedPaths& paths, uint32_t i, const FlowGraph& g) {
+  const uint32_t b = paths.begin[i];
+  const size_t len = paths.begin[i + 1] - b;
   for (const StageCondition& c : pattern) {
     const int d = g.depth(c.node);
     FC_DCHECK(d >= 1);
     const size_t idx = static_cast<size_t>(d - 1);
-    if (idx >= chain.size() || chain[idx] != c.node) return false;
+    if (idx >= len || paths.nodes[b + idx] != c.node) return false;
     if (c.duration != kAnyDuration &&
-        path.stages[idx].duration != c.duration) {
+        paths.durations[b + idx] != c.duration) {
       return false;
     }
   }
@@ -62,10 +45,14 @@ ExceptionMiner::ExceptionMiner(ExceptionMinerOptions options)
 }
 
 std::vector<FlowException> ExceptionMiner::Mine(
-    const FlowGraph& g, PathView paths,
+    const FlowGraph& g, const ResolvedPaths& paths,
     const std::vector<std::vector<StageCondition>>& patterns) const {
   std::vector<FlowException> out;
-  const auto chains = BuildChains(g, paths);
+  // The node (or termination) path i moves to after depth `dd`.
+  const auto next_node = [&paths](uint32_t i, size_t dd) {
+    const uint32_t at = paths.begin[i] + static_cast<uint32_t>(dd);
+    return at < paths.begin[i + 1] ? paths.nodes[at] : FlowGraph::kTerminate;
+  };
 
   // Mine runs once per cell from parallel loops; tallies stay in locals
   // until one flush at the end.
@@ -86,7 +73,7 @@ std::vector<FlowException> ExceptionMiner::Mine(
 
     std::vector<uint32_t> matching;
     for (uint32_t i = 0; i < paths.size(); ++i) {
-      if (Matches(pattern, paths[i], chains[i], g)) matching.push_back(i);
+      if (Matches(pattern, paths, i, g)) matching.push_back(i);
     }
     if (matching.size() < options_.min_support) {
       dropped_support++;
@@ -96,11 +83,7 @@ std::vector<FlowException> ExceptionMiner::Mine(
 
     // --- Conditional transition distribution at the deepest node.
     std::map<FlowNodeId, uint32_t> trans_counts;
-    for (uint32_t i : matching) {
-      const FlowNodeId target =
-          chains[i].size() > dd ? chains[i][dd] : FlowGraph::kTerminate;
-      trans_counts[target]++;
-    }
+    for (uint32_t i : matching) trans_counts[next_node(i, dd)]++;
     // Compare over every possible target (children + termination), so that
     // conditional probability 0 against a large global probability is also
     // recorded.
@@ -132,8 +115,8 @@ std::vector<FlowException> ExceptionMiner::Mine(
       std::map<Duration, uint32_t> dur_counts;
       uint32_t n_child = 0;
       for (uint32_t i : matching) {
-        if (chains[i].size() > dd && chains[i][dd] == child) {
-          dur_counts[paths[i].stages[dd].duration]++;
+        if (next_node(i, dd) == child) {
+          dur_counts[paths.durations[paths.begin[i] + dd]]++;
           n_child++;
         }
       }

@@ -133,8 +133,7 @@ void FlowGraph::Seal() {
     num_durations += node.duration_counts.size();
   }
 
-  auto cols = std::make_shared<Columns>();
-  Columns::Owned& o = cols->owned;
+  SealedColumns o;
   o.location.reserve(n);
   o.parent.reserve(n);
   o.depth.reserve(n);
@@ -162,7 +161,22 @@ void FlowGraph::Seal() {
   }
   o.child_begin.push_back(static_cast<uint32_t>(o.child_arena.size()));
   o.duration_begin.push_back(static_cast<uint32_t>(o.duration_arena.size()));
+  InstallColumns(std::move(o));
+}
 
+FlowGraph FlowGraph::FromSealedColumns(SealedColumns columns) {
+  FC_CHECK(!columns.location.empty() &&
+           columns.child_begin.size() == columns.location.size() + 1 &&
+           columns.duration_begin.size() == columns.location.size() + 1);
+  FlowGraph g;
+  g.InstallColumns(std::move(columns));
+  return g;
+}
+
+void FlowGraph::InstallColumns(SealedColumns columns) {
+  auto cols = std::make_shared<Columns>();
+  cols->owned = std::move(columns);
+  const SealedColumns& o = cols->owned;
   // The views are set only after the owned vectors reach their final
   // addresses inside the heap block.
   cols->location = {o.location.data(), o.location.size()};
@@ -205,7 +219,6 @@ size_t FlowGraph::MemoryUsage() const {
 }
 
 void FlowGraph::AddException(FlowException e) {
-  FC_CHECK_MSG(!sealed_, "cannot add exceptions to a sealed flowgraph");
   exceptions_.push_back(std::move(e));
 }
 

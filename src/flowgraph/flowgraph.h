@@ -84,9 +84,10 @@ struct FlowException {
 //
 // Seal() preserves node ids, child order, and duration order exactly, so
 // every derived artifact (dump text, checkpoint bytes, probabilities) is
-// bit-identical across the two forms. Mutation (AddPath / MergeFrom /
-// AddException) is only legal on the mutable form; a sealed graph can still
-// be a *source* of MergeFrom.
+// bit-identical across the two forms. Count mutation (AddPath / MergeFrom)
+// is only legal on the mutable form; a sealed graph can still be a *source*
+// of MergeFrom. Graphs counted straight into columns (FromSealedColumns)
+// are born sealed and never take the mutable form.
 //
 // The sealed columns live behind a shared immutable block
 // (shared_ptr<const Columns>): the column *views* are spans that resolve
@@ -127,9 +128,32 @@ class FlowGraph {
   FlowGraph Canonical() const;
 
   // Freezes the graph into the columnar form. Idempotent. Accessors keep
-  // returning the same values; mutating entry points FC_CHECK afterwards.
+  // returning the same values; AddPath and MergeFrom FC_CHECK afterwards.
   void Seal();
   bool sealed() const { return sealed_; }
+
+  // The owned column vectors of a sealed graph: five node columns of
+  // num_nodes entries; child_begin and duration_begin, num_nodes + 1 CSR
+  // offsets into child_arena (each node's children in ascending id order)
+  // and duration_arena (each node's entries sorted by duration).
+  struct SealedColumns {
+    std::vector<NodeId> location;
+    std::vector<FlowNodeId> parent;
+    std::vector<int32_t> depth;
+    std::vector<uint32_t> path_count;
+    std::vector<uint32_t> terminate_count;
+    std::vector<uint32_t> child_begin;
+    std::vector<FlowNodeId> child_arena;
+    std::vector<uint32_t> duration_begin;
+    std::vector<DurationCount> duration_arena;
+  };
+
+  // A sealed graph over columns counted directly into their final form
+  // (flowcube/cell_build.h counts cell measures this way), with no
+  // node-at-a-time form and no Seal() copy. The columns must be ones
+  // AddPath + Seal() could have produced, node numbering included; the
+  // caller audits the result.
+  static FlowGraph FromSealedColumns(SealedColumns columns);
 
   // Bytes owned by this graph: sizeof(*this) plus all heap the current
   // representation holds (node records, child edges, duration entries,
@@ -213,6 +237,8 @@ class FlowGraph {
 
   // --- Exceptions (paper Section 3) ------------------------------------------
 
+  // Legal on either form: exceptions are held per graph, outside the shared
+  // column block.
   void AddException(FlowException e);
   const std::vector<FlowException>& exceptions() const { return exceptions_; }
 
@@ -258,18 +284,7 @@ class FlowGraph {
     std::span<const uint32_t> duration_begin;
     std::span<const DurationCount> duration_arena;
 
-    struct Owned {
-      std::vector<NodeId> location;
-      std::vector<FlowNodeId> parent;
-      std::vector<int32_t> depth;
-      std::vector<uint32_t> path_count;
-      std::vector<uint32_t> terminate_count;
-      std::vector<uint32_t> child_begin;
-      std::vector<FlowNodeId> child_arena;
-      std::vector<uint32_t> duration_begin;
-      std::vector<DurationCount> duration_arena;
-    };
-    Owned owned;                            // empty for mapped graphs
+    SealedColumns owned;                    // empty for mapped graphs
     std::shared_ptr<const void> keepalive;  // mapping pin for mapped graphs
 
     // Heap bytes held by the owned vectors (0 for mapped graphs).
@@ -279,6 +294,9 @@ class FlowGraph {
   // Increments the count of duration `d` at mutable node `n`, keeping the
   // entries sorted.
   void BumpDuration(FlowNodeId n, Duration d, uint32_t by);
+
+  // Moves `columns` into a fresh heap block and points the views at it.
+  void InstallColumns(SealedColumns columns);
 
   std::vector<Node> nodes_;              // empty once sealed
   std::shared_ptr<const Columns> cols_;  // null until sealed

@@ -234,26 +234,40 @@ std::vector<FrequentItemset> Apriori::Mine(
   uint64_t candidates_this_call = 0;
   uint64_t pruned_this_call = 0;
 
-  // Pass 1: count single items.
-  std::unordered_map<ItemId, uint32_t> item_counts;
+  // Pass 1: count single items into a dense table indexed by item id. The
+  // table lives per thread and is all zero between calls, so a per-cell
+  // run (Cubing, MineCellSegments) touches only its own items and
+  // allocates nothing once the table has grown to the catalog's size.
+  thread_local std::vector<uint32_t> item_counts;
+  std::vector<ItemId> items_seen;
   for (const auto& txn : txns) {
-    for (ItemId id : txn) item_counts[id]++;
+    for (ItemId id : txn) {
+      if (id >= item_counts.size()) {
+        item_counts.resize(std::max<size_t>(id + 1, 2 * item_counts.size()),
+                           0);
+      }
+      if (item_counts[id]++ == 0) items_seen.push_back(id);
+    }
   }
+  std::sort(items_seen.begin(), items_seen.end());
   stats_.passes++;
   passes_this_call++;
   EnsureLength(&stats_.candidates_per_length, 1);
   EnsureLength(&stats_.frequent_per_length, 1);
-  stats_.candidates_per_length[1] += item_counts.size();
-  candidates_this_call += item_counts.size();
+  stats_.candidates_per_length[1] += items_seen.size();
+  candidates_this_call += items_seen.size();
 
+  // Frequent items in id order, which is also the sorted order the join
+  // needs.
   std::vector<Itemset> frequent_k;
-  for (const auto& [id, count] : item_counts) {
+  for (ItemId id : items_seen) {
+    const uint32_t count = item_counts[id];
+    item_counts[id] = 0;
     if (count >= options_.min_support) {
       result.push_back(FrequentItemset{{id}, count});
       frequent_k.push_back({id});
     }
   }
-  std::sort(frequent_k.begin(), frequent_k.end());
   stats_.frequent_per_length[1] += frequent_k.size();
 
   // Passes k = 2, 3, ... until no candidates survive.

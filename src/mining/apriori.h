@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 

@@ -7,25 +7,24 @@
 
 namespace flowcube {
 
-std::vector<SegmentPattern> MineCellSegments(const TransformedDatabase& tdb,
+std::vector<SegmentPattern> MineCellSegments(const LevelChains& chains,
                                              std::span<const uint32_t> tids,
-                                             int path_level,
                                              uint32_t min_support) {
-  const ItemCatalog& cat = tdb.catalog();
-
-  // Project each member transaction onto the stage items of `path_level`.
-  // Projections stay sorted because the source transactions are.
-  std::vector<std::vector<ItemId>> projected(tids.size());
+  // Project each member onto its chain at the level. A chain is in stage
+  // order; Apriori wants each transaction's items sorted.
+  std::vector<uint32_t> begin = {0};
+  std::vector<ItemId> items;
+  for (uint32_t tid : tids) {
+    FC_CHECK(tid < chains.size());
+    const std::span<const ItemId> chain = chains[tid];
+    items.insert(items.end(), chain.begin(), chain.end());
+    std::sort(items.end() - static_cast<ptrdiff_t>(chain.size()), items.end());
+    begin.push_back(static_cast<uint32_t>(items.size()));
+  }
   std::vector<std::span<const ItemId>> txns;
   txns.reserve(tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
-    FC_CHECK(tids[i] < tdb.size());
-    for (ItemId id : tdb.transactions()[tids[i]].items) {
-      if (cat.IsStageItem(id) && cat.StageOf(id).path_level == path_level) {
-        projected[i].push_back(id);
-      }
-    }
-    txns.push_back(projected[i]);
+    txns.emplace_back(items.data() + begin[i], begin[i + 1] - begin[i]);
   }
 
   AprioriOptions apriori_options;

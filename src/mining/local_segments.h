@@ -5,12 +5,12 @@
 #include <vector>
 
 #include "mining/mining_result.h"
-#include "mining/transform.h"
+#include "mining/stage_chains.h"
 
 namespace flowcube {
 
 // Mines the frequent path segments of one cell directly from its member
-// transactions: each member is projected onto the stage items of one path
+// transactions: each member is projected onto its stage chain at one path
 // abstraction level and run through plain exact Apriori at `min_support`.
 //
 // For a cell whose members are exactly the transactions containing its
@@ -21,9 +21,8 @@ namespace flowcube {
 // (support desc, stages asc). The incremental maintainer uses it to re-mine
 // only the cells a delta touched instead of re-running Shared on the whole
 // database.
-std::vector<SegmentPattern> MineCellSegments(const TransformedDatabase& tdb,
+std::vector<SegmentPattern> MineCellSegments(const LevelChains& chains,
                                              std::span<const uint32_t> tids,
-                                             int path_level,
                                              uint32_t min_support);
 
 }  // namespace flowcube

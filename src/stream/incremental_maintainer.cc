@@ -11,7 +11,6 @@
 #include "flowcube/cell_build.h"
 #include "mining/local_segments.h"
 #include "path/path_database.h"
-#include "path/path_view.h"
 
 namespace flowcube {
 namespace {
@@ -116,10 +115,9 @@ IncrementalMaintainer::IncrementalMaintainer(
     : schema_(std::move(schema)),
       plan_(std::move(plan)),
       options_(options),
-      aggregator_(schema_),
       exception_miner_(options.build.exceptions),
       tdb_(schema_, plan_.mining),
-      agg_(plan_.path_levels.size()),
+      chains_(plan_.path_levels, plan_.mining.path_levels.size()),
       cells_(plan_.item_levels.size()),
       cube_(plan_, schema_) {}
 
@@ -157,7 +155,6 @@ Status IncrementalMaintainer::ApplyRecords(std::span<const PathRecord> records,
   // append loop never reallocates mid-batch.
   const size_t total_records = records_.size() + records.size();
   records_.reserve(total_records);
-  for (std::vector<Path>& paths : agg_) paths.reserve(total_records);
 
   std::vector<KeySet> dirty(plan_.item_levels.size());
   for (const PathRecord& rec : records) {
@@ -198,15 +195,9 @@ void IncrementalMaintainer::AppendToIndexes(const PathRecord& rec,
   // Appending in tid order reproduces the stage-item interning order of a
   // batch transform over the same records.
   tdb_.Append(records_[tid]);
-  for (size_t p = 0; p < plan_.path_levels.size(); ++p) {
-    const PathLevel& level =
-        plan_.mining.path_levels[static_cast<size_t>(plan_.path_levels[p])];
-    agg_[p].push_back(aggregator_.AggregatePath(
-        rec.path, plan_.mining.cuts[static_cast<size_t>(level.cut_index)],
-        level.duration_level));
-  }
-
   const ItemCatalog& cat = tdb_.catalog();
+  chains_.Append(tdb_.transactions()[tid], cat);
+
   Itemset key;
   for (size_t i = 0; i < plan_.item_levels.size(); ++i) {
     const ItemLevel& il = plan_.item_levels[i];
@@ -268,18 +259,17 @@ void IncrementalMaintainer::RebuildDirtyCells(const std::vector<KeySet>& dirty,
       }
       if (!state.materialized) stats->cells_promoted++;
       for (size_t p = 0; p < plan_.path_levels.size(); ++p) {
-        const PathView paths(agg_[p], state.tids);
+        const LevelChains& chains = chains_.level(p);
         FlowCell cell;
         cell.dims = key;
         const std::vector<SegmentPattern> segments =
             options_.build.compute_exceptions
-                ? MineCellSegments(tdb_, state.tids, plan_.path_levels[p],
-                                   min_support)
+                ? MineCellSegments(chains, state.tids, min_support)
                 : std::vector<SegmentPattern>();
         FillCellMeasure(
-            paths, segments, cat,
+            chains, state.tids, segments, cat,
             options_.build.compute_exceptions ? &exception_miner_ : nullptr,
-            &cell);
+            &scratch_, &cell);
         Cuboid& cuboid = cube_.mutable_cuboid(i, p);
         cuboid.Erase(key);
         cuboid.Insert(std::move(cell));

@@ -9,10 +9,11 @@
 
 #include "common/status.h"
 #include "flowcube/builder.h"
+#include "flowcube/cell_build.h"
 #include "flowcube/flowcube.h"
 #include "flowgraph/exception_miner.h"
+#include "mining/stage_chains.h"
 #include "mining/transform.h"
-#include "path/path_aggregator.h"
 #include "stream/stream_ingestor.h"
 
 namespace flowcube {
@@ -56,7 +57,7 @@ struct ApplyStats {
 // Folds micro-batch deltas into a live FlowCube. Instead of re-running the
 // whole transform/Shared/measure pipeline, each Apply():
 //   1. appends the delta's records to the live indexes (transaction table,
-//      per-path-level aggregation table, per-item-level membership lists);
+//      per-path-level stage chains, per-item-level membership lists);
 //   2. updates cell supports and promotes/demotes cells across the iceberg
 //      threshold delta, re-mining segments and rebuilding flowgraph
 //      measures only for the cells the delta touched;
@@ -121,7 +122,7 @@ class IncrementalMaintainer {
   friend class CheckpointCodec;
 
   // Live membership of one cell: its member transaction ids (ascending;
-  // indexes into records_/agg_ rows) and whether it is currently
+  // indexes into records_ and the chains) and whether it is currently
   // materialized in the cube.
   struct CellState {
     std::vector<uint32_t> tids;
@@ -156,7 +157,6 @@ class IncrementalMaintainer {
   SchemaPtr schema_;
   FlowCubePlan plan_;
   IncrementalMaintainerOptions options_;
-  PathAggregator aggregator_;
   ExceptionMiner exception_miner_;
 
   // Every record ever applied; index = transaction id. Retired records keep
@@ -170,10 +170,10 @@ class IncrementalMaintainer {
   // ordering identical to a full rebuild.
   TransformedDatabase tdb_;
 
-  // agg_[p][tid] = records_[tid].path aggregated to materialized path
-  // level p (indexes plan_.path_levels), mirroring the builder's shared
-  // aggregation table.
-  std::vector<std::vector<Path>> agg_;
+  // chains_.level(p)[tid] = records_[tid]'s stage chain at materialized
+  // path level p (indexes plan_.path_levels), the builder's measure input.
+  StageChains chains_;
+  MeasureScratch scratch_;
 
   // cells_[i] = membership of every (complete) cell key seen at item level
   // i, including keys below the iceberg threshold.

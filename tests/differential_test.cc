@@ -8,6 +8,10 @@
 // (flowcube/dump renders cells sorted with %.17g doubles, so string
 // equality is bitwise cube equality). Every support either miner reports,
 // segments included, is also recounted with the reference counting engine.
+// A second oracle enumerates every frequent cell's path segments from its
+// members' transactions by brute-force subset counting; both miners'
+// segments and the maintainer's per-cell miner (MineCellSegments) must
+// equal it.
 
 #include <algorithm>
 #include <cstdint>
@@ -30,8 +34,10 @@
 #include "gen/path_generator.h"
 #include "hierarchy/lattice.h"
 #include "mining/counting_backend.h"
+#include "mining/local_segments.h"
 #include "mining/mining_result.h"
 #include "mining/shared_miner.h"
+#include "mining/stage_chains.h"
 #include "mining/transform.h"
 #include "path/path_aggregator.h"
 #include "path/path_view.h"
@@ -189,6 +195,124 @@ void ExpectSupportsMatchReference(const MiningResult& result,
   EXPECT_EQ(ReferenceCounts(txns, counter), reported);
 }
 
+// Every complete cell key at item level `il` with its member tids
+// (ascending), straight from the raw records.
+std::map<Itemset, std::vector<uint32_t>> MembersAtLevel(
+    const PathDatabase& db, const ItemLevel& il, const ItemCatalog& cat) {
+  std::map<Itemset, std::vector<uint32_t>> members;
+  Itemset key;
+  for (uint32_t tid = 0; tid < db.size(); ++tid) {
+    const PathRecord& rec = db.record(tid);
+    key.clear();
+    bool complete = true;
+    for (size_t d = 0; d < rec.dims.size(); ++d) {
+      if (il.levels[d] == 0) continue;
+      const ConceptHierarchy& h = db.schema().dimensions[d];
+      const NodeId n = h.AncestorAtLevel(rec.dims[d], il.levels[d]);
+      if (h.Level(n) == 0) {
+        complete = false;
+        continue;
+      }
+      key.push_back(cat.DimItem(d, n));
+    }
+    if (!complete) continue;
+    std::sort(key.begin(), key.end());
+    members[key].push_back(tid);
+  }
+  return members;
+}
+
+using Segments = std::vector<std::pair<Itemset, uint32_t>>;
+
+Segments AsPairs(const std::vector<SegmentPattern>& segments) {
+  Segments out;
+  for (const SegmentPattern& s : segments) {
+    out.emplace_back(s.stages, s.support);
+  }
+  return out;
+}
+
+// The segment oracle: a cell's frequent path segments at one mining path
+// level, counted by enumerating every non-empty subset of each member's
+// stage items at that level straight from its transaction — no miner, no
+// candidate generation, no counting engine. Sorted like SegmentsForCell:
+// support descending, then stages ascending.
+Segments OracleSegments(const TransformedDatabase& tdb,
+                        const std::vector<uint32_t>& members, int path_level,
+                        uint32_t min_support) {
+  const ItemCatalog& cat = tdb.catalog();
+  std::map<Itemset, uint32_t> counts;
+  Itemset stages;
+  Itemset subset;
+  for (uint32_t tid : members) {
+    stages.clear();
+    for (ItemId id : tdb.transactions()[tid].items) {
+      if (cat.IsStageItem(id) && cat.StageOf(id).path_level == path_level) {
+        stages.push_back(id);
+      }
+    }
+    if (stages.size() > 16) {
+      ADD_FAILURE() << "a member of " << stages.size()
+                    << " stages: subset enumeration would explode";
+      continue;
+    }
+    for (uint32_t mask = 1; mask < (1u << stages.size()); ++mask) {
+      subset.clear();
+      for (size_t k = 0; k < stages.size(); ++k) {
+        if ((mask >> k) & 1u) subset.push_back(stages[k]);
+      }
+      counts[subset]++;
+    }
+  }
+  Segments out;
+  for (const auto& [items, support] : counts) {
+    if (support >= min_support) out.emplace_back(items, support);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  return out;
+}
+
+// Every frequent cell at every item level and materialized path level:
+// Shared's and Cubing's SegmentsForCell and MineCellSegments over the
+// cell's members must each equal the oracle. Returns the number of
+// segments checked.
+size_t ExpectSegmentsMatchOracle(const PathDatabase& db,
+                                 const FlowCubePlan& plan,
+                                 const TransformedDatabase& tdb,
+                                 const MiningResult& shared,
+                                 const MiningResult& cubing,
+                                 uint32_t min_support) {
+  const ItemCatalog& cat = tdb.catalog();
+  StageChains chains(plan.path_levels, plan.mining.path_levels.size());
+  for (const Transaction& txn : tdb.transactions()) chains.Append(txn, cat);
+  size_t checked = 0;
+  for (const ItemLevel& il : plan.item_levels) {
+    for (const auto& [key, tids] : MembersAtLevel(db, il, cat)) {
+      if (tids.size() < min_support) continue;
+      for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+        const int pl = plan.path_levels[p];
+        SCOPED_TRACE("cell of " + std::to_string(key.size()) +
+                     " item(s), " + std::to_string(tids.size()) +
+                     " member(s), path level " + std::to_string(pl));
+        const Segments want = OracleSegments(tdb, tids, pl, min_support);
+        EXPECT_EQ(AsPairs(shared.SegmentsForCell(key, pl)), want)
+            << "SharedMiner";
+        EXPECT_EQ(AsPairs(cubing.SegmentsForCell(key, pl)), want)
+            << "CubingMiner";
+        EXPECT_EQ(AsPairs(MineCellSegments(chains.level(p), tids,
+                                           min_support)),
+                  want)
+            << "MineCellSegments";
+        checked += want.size();
+      }
+    }
+  }
+  return checked;
+}
+
 // Materializes a flowcube from any miner's output, mirroring the builder's
 // measure phase with exceptions and redundancy analysis off: for every
 // cuboid, the frequent cells' member paths are gathered and their flowgraph
@@ -222,24 +346,12 @@ std::string CubeDumpFromMining(const PathDatabase& db,
     for (Itemset& cell : result.CellsAtLevel(il)) {
       frequent_cells.insert(std::move(cell));
     }
-    std::unordered_map<Itemset, std::vector<uint32_t>, ItemsetHash> members;
-    Itemset key;
-    for (uint32_t tid = 0; tid < db.size(); ++tid) {
-      const PathRecord& rec = db.record(tid);
-      key.clear();
-      for (size_t d = 0; d < rec.dims.size(); ++d) {
-        if (il.levels[d] == 0) continue;
-        const ConceptHierarchy& h = db.schema().dimensions[d];
-        const NodeId n = h.AncestorAtLevel(rec.dims[d], il.levels[d]);
-        if (h.Level(n) == 0) continue;
-        key.push_back(cat.DimItem(d, n));
-      }
-      std::sort(key.begin(), key.end());
-      if (frequent_cells.contains(key)) members[key].push_back(tid);
-    }
+    const std::map<Itemset, std::vector<uint32_t>> members =
+        MembersAtLevel(db, il, cat);
     for (size_t p = 0; p < plan.path_levels.size(); ++p) {
       Cuboid& cuboid = cube.mutable_cuboid(i, p);
       for (const auto& [cell_key, tids] : members) {
+        if (!frequent_cells.contains(cell_key)) continue;
         FlowCell cell;
         cell.dims = cell_key;
         cell.support = static_cast<uint32_t>(tids.size());
@@ -292,6 +404,10 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
                       tdb.catalog(), "CubingMiner");
   ExpectSupportsMatchReference(shared, tdb, "SharedMiner");
   ExpectSupportsMatchReference(cubing, tdb, "CubingMiner");
+  // Not vacuous either: every workload's apex alone has frequent segments.
+  EXPECT_GT(ExpectSegmentsMatchOracle(db, plan, tdb, shared, cubing,
+                                      w.min_support),
+            0u);
 
   // Byte-equal canonical dumps: Shared-derived cube == Cubing-derived cube
   // == the production builder's cube (exceptions/redundancy off — those

@@ -2,6 +2,7 @@
 
 #include "flowgraph/builder.h"
 #include "flowgraph/exception_miner.h"
+#include "walk_resolve.h"
 
 namespace flowcube {
 namespace {
@@ -41,10 +42,12 @@ class ExceptionMinerTest : public ::testing::Test {
     factory_ = graph_.FindChild(FlowGraph::kRoot, kFactory);
     warehouse_ = graph_.FindChild(factory_, kWarehouse);
     store_ = graph_.FindChild(factory_, kStore);
+    resolved_ = ResolveByWalk(graph_, paths_);
   }
 
   std::vector<Path> paths_;
   FlowGraph graph_;
+  WalkResolved resolved_;
   FlowNodeId factory_ = 0;
   FlowNodeId warehouse_ = 0;
   FlowNodeId store_ = 0;
@@ -59,7 +62,7 @@ TEST_F(ExceptionMinerTest, FindsPlantedTransitionException) {
   ExceptionMiner miner(ExceptionMinerOptions{/*epsilon=*/0.2,
                                              /*min_support=*/5});
   const std::vector<StageCondition> long_stay = {{factory_, 9}};
-  const auto exceptions = miner.Mine(graph_, paths_, {long_stay});
+  const auto exceptions = miner.Mine(graph_, resolved_.view(), {long_stay});
 
   // Conditioned on (factory, 9): P(warehouse) = 0.9 vs global 0.5 and
   // P(store) = 0.1 vs 0.5 — both deviate by 0.4 >= epsilon.
@@ -88,7 +91,7 @@ TEST_F(ExceptionMinerTest, EpsilonThresholdSuppressesSmallDeviations) {
                                              /*min_support=*/5});
   const std::vector<StageCondition> long_stay = {{factory_, 9}};
   // Deviations are exactly 0.4 < 0.45: nothing may be reported.
-  EXPECT_TRUE(miner.Mine(graph_, paths_, {long_stay}).empty());
+  EXPECT_TRUE(miner.Mine(graph_, resolved_.view(), {long_stay}).empty());
 }
 
 TEST_F(ExceptionMinerTest, MinSupportSuppressesRareConditions) {
@@ -96,7 +99,7 @@ TEST_F(ExceptionMinerTest, MinSupportSuppressesRareConditions) {
                                              /*min_support=*/21});
   const std::vector<StageCondition> long_stay = {{factory_, 9}};
   // Only 20 paths match the condition.
-  EXPECT_TRUE(miner.Mine(graph_, paths_, {long_stay}).empty());
+  EXPECT_TRUE(miner.Mine(graph_, resolved_.view(), {long_stay}).empty());
 }
 
 TEST_F(ExceptionMinerTest, NonInformativePatternsSkipped) {
@@ -104,7 +107,7 @@ TEST_F(ExceptionMinerTest, NonInformativePatternsSkipped) {
   // Passage-only condition (duration '*'): implied by reaching the node,
   // deviation would be zero by construction; the miner skips it.
   const std::vector<StageCondition> passage = {{factory_, kAnyDuration}};
-  EXPECT_TRUE(miner.Mine(graph_, paths_, {passage}).empty());
+  EXPECT_TRUE(miner.Mine(graph_, resolved_.view(), {passage}).empty());
 }
 
 TEST(ExceptionMinerDuration, FindsDurationExceptionGivenPreviousDuration) {
@@ -129,7 +132,7 @@ TEST(ExceptionMinerDuration, FindsDurationExceptionGivenPreviousDuration) {
 
   ExceptionMiner miner(ExceptionMinerOptions{0.3, 5});
   const auto exceptions =
-      miner.Mine(g, paths, {{StageCondition{f, 1}}});
+      miner.Mine(g, ResolveByWalk(g, paths).view(), {{StageCondition{f, 1}}});
   bool found = false;
   for (const FlowException& e : exceptions) {
     if (e.kind == FlowException::Kind::kDuration && e.node == fs &&
@@ -158,7 +161,8 @@ TEST(ExceptionMinerDuration, ConditionalAbsenceIsAnException) {
   const FlowNodeId fs = g.FindChild(f, kStore);
 
   ExceptionMiner miner(ExceptionMinerOptions{0.4, 5});
-  const auto exceptions = miner.Mine(g, paths, {{StageCondition{f, 1}}});
+  const auto exceptions =
+      miner.Mine(g, ResolveByWalk(g, paths).view(), {{StageCondition{f, 1}}});
   // Given (factory,1), store duration 2 has conditional probability 0
   // against a global 0.5.
   bool absence = false;
@@ -192,7 +196,8 @@ TEST(ExceptionMinerChains, MultiStageConditionsEvaluate) {
 
   ExceptionMiner miner(ExceptionMinerOptions{0.3, 5});
   const std::vector<StageCondition> chain = {{f, 1}, {fw, 1}};
-  const auto exceptions = miner.Mine(g, paths, {chain});
+  const auto exceptions =
+      miner.Mine(g, ResolveByWalk(g, paths).view(), {chain});
   bool found = false;
   for (const FlowException& e : exceptions) {
     if (e.kind == FlowException::Kind::kTransition && e.node == fw &&
