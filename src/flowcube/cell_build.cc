@@ -256,7 +256,7 @@ bool CellIsRedundant(const FlowCube& cube, const ItemLevel& il,
         cube.cuboid(static_cast<size_t>(pil), pl_index).Find(parent_key);
     if (parent == nullptr) continue;
     parents_found++;
-    if (FlowGraphDistance(cell.graph, parent->graph, similarity) > tau) {
+    if (FlowGraphDistanceExceeds(cell.graph, parent->graph, tau, similarity)) {
       return false;
     }
   }

@@ -36,6 +36,15 @@ struct SimilarityOptions {
 double FlowGraphDistance(const FlowGraph& a, const FlowGraph& b,
                          const SimilarityOptions& options = {});
 
+// FlowGraphDistance(a, b, options) > tau, the test Definition 4.4 applies
+// to each parent, always with the same answer. For Jensen-Shannon the walk
+// stops as soon as bounds on the unvisited remainder put the distance on
+// one side of tau; a distance within a relative 1e-9 of tau is computed in
+// full. KL walks in full.
+bool FlowGraphDistanceExceeds(const FlowGraph& a, const FlowGraph& b,
+                              double tau,
+                              const SimilarityOptions& options = {});
+
 }  // namespace flowcube
 
 #endif  // FLOWCUBE_FLOWGRAPH_SIMILARITY_H_

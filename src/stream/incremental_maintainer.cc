@@ -168,9 +168,15 @@ Status IncrementalMaintainer::ApplyRecords(std::span<const PathRecord> records,
     }
   }
 
-  RebuildDirtyCells(dirty, stats);
+  {
+    TraceSpan cells_span("stream.apply.cells");
+    RebuildDirtyCells(dirty, stats);
+    stats->seconds_cells = cells_span.Stop();
+  }
   if (options_.build.mark_redundant) {
+    TraceSpan redundancy_span("stream.apply.redundancy");
     RecomputeRedundancy(dirty, stats);
+    stats->seconds_redundancy = redundancy_span.Stop();
   }
   stats->seconds = span.Stop();
 

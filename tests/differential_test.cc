@@ -11,14 +11,20 @@
 // A second oracle enumerates every frequent cell's path segments from its
 // members' transactions by brute-force subset counting; both miners'
 // segments and the maintainer's per-cell miner (MineCellSegments) must
-// equal it.
+// equal it. A third oracle recomputes every cell's Definition 4.4
+// redundancy flag from its own graphs and distance walk; the builder's
+// flags must equal it at the default tau and at a tau equal to a distance
+// the oracle observed.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -195,6 +201,23 @@ void ExpectSupportsMatchReference(const MiningResult& result,
   EXPECT_EQ(ReferenceCounts(txns, counter), reported);
 }
 
+// The cell key of record `tid` at item level `il`, straight from its raw
+// dimension values; false when the record belongs to no cell of the level.
+bool KeyAtLevel(const PathDatabase& db, uint32_t tid, const ItemLevel& il,
+                const ItemCatalog& cat, Itemset* key) {
+  const PathRecord& rec = db.record(tid);
+  key->clear();
+  for (size_t d = 0; d < rec.dims.size(); ++d) {
+    if (il.levels[d] == 0) continue;
+    const ConceptHierarchy& h = db.schema().dimensions[d];
+    const NodeId n = h.AncestorAtLevel(rec.dims[d], il.levels[d]);
+    if (h.Level(n) == 0) return false;
+    key->push_back(cat.DimItem(d, n));
+  }
+  std::sort(key->begin(), key->end());
+  return true;
+}
+
 // Every complete cell key at item level `il` with its member tids
 // (ascending), straight from the raw records.
 std::map<Itemset, std::vector<uint32_t>> MembersAtLevel(
@@ -202,22 +225,7 @@ std::map<Itemset, std::vector<uint32_t>> MembersAtLevel(
   std::map<Itemset, std::vector<uint32_t>> members;
   Itemset key;
   for (uint32_t tid = 0; tid < db.size(); ++tid) {
-    const PathRecord& rec = db.record(tid);
-    key.clear();
-    bool complete = true;
-    for (size_t d = 0; d < rec.dims.size(); ++d) {
-      if (il.levels[d] == 0) continue;
-      const ConceptHierarchy& h = db.schema().dimensions[d];
-      const NodeId n = h.AncestorAtLevel(rec.dims[d], il.levels[d]);
-      if (h.Level(n) == 0) {
-        complete = false;
-        continue;
-      }
-      key.push_back(cat.DimItem(d, n));
-    }
-    if (!complete) continue;
-    std::sort(key.begin(), key.end());
-    members[key].push_back(tid);
+    if (KeyAtLevel(db, tid, il, cat, &key)) members[key].push_back(tid);
   }
   return members;
 }
@@ -313,17 +321,157 @@ size_t ExpectSegmentsMatchOracle(const PathDatabase& db,
   return checked;
 }
 
+// The redundancy oracle's distance: the reach-weighted Jensen-Shannon walk
+// as documented (DESIGN.md §13), over std::map categoricals and FindChild
+// lookups, sharing no code with flowgraph/similarity.cc. The lesser graph
+// by the content order is walked first; at a matched pair the transition
+// and duration distributions are compared over their key union in
+// ascending order (the terminate outcome as key -1), then `a`'s children
+// are visited in id order and `b`'s unmatched ones after them; a branch on
+// one side only counts divergence 1. Each union outcome adds p/2 · log(p/m)
+// and then q/2 · log(q/m), m = (p + q)/2, so the distances are bit-equal
+// to the production walk's, not merely close.
+using Categorical = std::map<int64_t, double>;
+
+constexpr double kOracleLn2 = 0.6931471805599453;
+
+Categorical OracleTransitions(const FlowGraph& g, FlowNodeId n) {
+  Categorical out;
+  const uint32_t paths = g.path_count(n);
+  const auto share = [paths](uint32_t count) {
+    return paths == 0 ? 0.0 : static_cast<double>(count) / paths;
+  };
+  out[-1] = share(g.terminate_count(n));
+  for (FlowNodeId c : g.children(n)) {
+    out[g.location(c)] = share(g.path_count(c));
+  }
+  return out;
+}
+
+Categorical OracleDurations(const FlowGraph& g, FlowNodeId n) {
+  Categorical out;
+  const double total = g.path_count(n);
+  for (const DurationCount& dc : g.duration_counts(n)) {
+    out[dc.duration] = dc.count / total;
+  }
+  return out;
+}
+
+double OracleJs(const Categorical& p, const Categorical& q) {
+  std::set<int64_t> keys;
+  for (const auto& [key, prob] : p) keys.insert(key);
+  for (const auto& [key, prob] : q) keys.insert(key);
+  double d = 0.0;
+  for (int64_t key : keys) {
+    const double pp = p.contains(key) ? p.at(key) : 0.0;
+    const double qq = q.contains(key) ? q.at(key) : 0.0;
+    const double m = 0.5 * (pp + qq);
+    if (pp > 0.0) d += 0.5 * pp * std::log(pp / m);
+    if (qq > 0.0) d += 0.5 * qq * std::log(qq / m);
+  }
+  return d / kOracleLn2;
+}
+
+void OracleWalk(const FlowGraph& a, const FlowGraph& b, FlowNodeId na,
+                FlowNodeId nb, double* wd, double* tw) {
+  const bool in_a = na != FlowGraph::kTerminate;
+  const bool in_b = nb != FlowGraph::kTerminate;
+  const double wa =
+      in_a ? static_cast<double>(a.path_count(na)) / a.total_paths() : 0.0;
+  const double wb =
+      in_b ? static_cast<double>(b.path_count(nb)) / b.total_paths() : 0.0;
+  const double w = 0.5 * (wa + wb);
+  if (w <= 0.0) return;
+  if (!in_a || !in_b) {
+    *wd += w * 1.0;
+    *tw += w;
+    return;
+  }
+  const double dt =
+      OracleJs(OracleTransitions(a, na), OracleTransitions(b, nb));
+  if (na == FlowGraph::kRoot) {
+    *wd += w * dt;
+  } else {
+    const double dd = OracleJs(OracleDurations(a, na), OracleDurations(b, nb));
+    *wd += w * 0.5 * (dt + dd);
+  }
+  *tw += w;
+  for (FlowNodeId ca : a.children(na)) {
+    OracleWalk(a, b, ca, b.FindChild(nb, a.location(ca)), wd, tw);
+  }
+  for (FlowNodeId cb : b.children(nb)) {
+    if (a.FindChild(na, b.location(cb)) == FlowGraph::kTerminate) {
+      OracleWalk(a, b, FlowGraph::kTerminate, cb, wd, tw);
+    }
+  }
+}
+
+// The content order: node by node the path and terminate counts, the
+// location, the child id list and the (duration, count) list, then the
+// node count.
+bool OracleContentLess(const FlowGraph& a, const FlowGraph& b) {
+  using NodeContent =
+      std::tuple<uint32_t, uint32_t, NodeId, std::vector<FlowNodeId>,
+                 std::vector<std::pair<Duration, uint32_t>>>;
+  const auto content = [](const FlowGraph& g, FlowNodeId v) {
+    NodeContent c{g.path_count(v), g.terminate_count(v), g.location(v), {},
+                  {}};
+    for (FlowNodeId k : g.children(v)) std::get<3>(c).push_back(k);
+    for (const DurationCount& dc : g.duration_counts(v)) {
+      std::get<4>(c).emplace_back(dc.duration, dc.count);
+    }
+    return c;
+  };
+  const size_t n = std::min(a.num_nodes(), b.num_nodes());
+  for (FlowNodeId v = 0; v < n; ++v) {
+    const NodeContent ca = content(a, v);
+    const NodeContent cb = content(b, v);
+    if (ca != cb) return ca < cb;
+  }
+  return a.num_nodes() < b.num_nodes();
+}
+
+double OracleDistance(const FlowGraph& x, const FlowGraph& y) {
+  const bool swap = OracleContentLess(y, x);
+  const FlowGraph& a = swap ? y : x;
+  const FlowGraph& b = swap ? x : y;
+  if (a.total_paths() == 0 && b.total_paths() == 0) return 0.0;
+  if (a.total_paths() == 0 || b.total_paths() == 0) return 1.0;
+  double wd = 0.0;
+  double tw = 0.0;
+  OracleWalk(a, b, FlowGraph::kRoot, FlowGraph::kRoot, &wd, &tw);
+  return tw <= 0.0 ? 0.0 : wd / tw;
+}
+
+// One materialized cell as the oracles see it.
+struct OracleCell {
+  std::vector<uint32_t> tids;
+  FlowGraph graph;
+  // The oracle distance to each materialized parent at the same path level
+  // (filled by AddParentDistances).
+  std::vector<double> parent_distances;
+
+  // Definition 4.4: at least one parent, and within tau of every one.
+  bool RedundantAt(double tau) const {
+    return !parent_distances.empty() &&
+           std::ranges::all_of(parent_distances,
+                               [tau](double d) { return d <= tau; });
+  }
+};
+
+// cells[i][p] holds the cells of cuboid <plan.item_levels[i],
+// plan.path_levels[p]>.
+using OracleCells = std::vector<std::vector<std::map<Itemset, OracleCell>>>;
+
 // Materializes a flowcube from any miner's output, mirroring the builder's
-// measure phase with exceptions and redundancy analysis off: for every
-// cuboid, the frequent cells' member paths are gathered and their flowgraph
-// is rebuilt from the aggregated raw paths. Because supports and graphs
-// come from the raw records (not from the miner's counts), the dumps of two
-// miners agree iff their frequent-cell sets agree.
-std::string CubeDumpFromMining(const PathDatabase& db,
-                               const FlowCubePlan& plan,
-                               const TransformedDatabase& tdb,
-                               const MiningResult& result) {
-  FlowCube cube(plan, db.schema_ptr());
+// measure phase with exceptions off: for every cuboid, the frequent cells'
+// member paths are gathered and their flowgraph is rebuilt from the
+// aggregated raw paths. Because supports and graphs come from the raw
+// records (not from the miner's counts), the cells of two miners agree iff
+// their frequent-cell sets agree.
+OracleCells CellsFromMining(const PathDatabase& db, const FlowCubePlan& plan,
+                            const TransformedDatabase& tdb,
+                            const MiningResult& result) {
   const ItemCatalog& cat = tdb.catalog();
   const PathAggregator aggregator(db.schema_ptr());
 
@@ -340,27 +488,126 @@ std::string CubeDumpFromMining(const PathDatabase& db,
     }
   }
 
+  OracleCells cells(plan.item_levels.size());
   for (size_t i = 0; i < plan.item_levels.size(); ++i) {
     const ItemLevel& il = plan.item_levels[i];
     std::unordered_set<Itemset, ItemsetHash> frequent_cells;
     for (Itemset& cell : result.CellsAtLevel(il)) {
       frequent_cells.insert(std::move(cell));
     }
-    const std::map<Itemset, std::vector<uint32_t>> members =
-        MembersAtLevel(db, il, cat);
-    for (size_t p = 0; p < plan.path_levels.size(); ++p) {
-      Cuboid& cuboid = cube.mutable_cuboid(i, p);
-      for (const auto& [cell_key, tids] : members) {
-        if (!frequent_cells.contains(cell_key)) continue;
-        FlowCell cell;
-        cell.dims = cell_key;
-        cell.support = static_cast<uint32_t>(tids.size());
+    cells[i].resize(plan.path_levels.size());
+    for (const auto& [cell_key, tids] : MembersAtLevel(db, il, cat)) {
+      if (!frequent_cells.contains(cell_key)) continue;
+      for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+        OracleCell& cell = cells[i][p][cell_key];
+        cell.tids = tids;
         cell.graph = BuildFlowGraph(PathView(agg[p], tids));
-        cuboid.Insert(std::move(cell));
+      }
+    }
+  }
+  return cells;
+}
+
+// Fills every cell's parent distances. A parent generalizes one dimension
+// by one level; its key is that of the cell's first member at the parent's
+// item level, and it counts when the plan holds that level and the cell is
+// materialized there.
+void AddParentDistances(const PathDatabase& db, const FlowCubePlan& plan,
+                        const ItemCatalog& cat, OracleCells* cells) {
+  Itemset parent_key;
+  for (size_t i = 0; i < plan.item_levels.size(); ++i) {
+    const ItemLevel& il = plan.item_levels[i];
+    for (size_t d = 0; d < il.levels.size(); ++d) {
+      if (il.levels[d] == 0) continue;
+      ItemLevel parent_level = il;
+      parent_level.levels[d]--;
+      const auto pi = std::ranges::find_if(
+          plan.item_levels, [&](const ItemLevel& level) {
+            return level.levels == parent_level.levels;
+          });
+      if (pi == plan.item_levels.end()) continue;
+      const size_t parent_index =
+          static_cast<size_t>(pi - plan.item_levels.begin());
+      for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+        for (auto& [key, cell] : (*cells)[i][p]) {
+          ASSERT_TRUE(KeyAtLevel(db, cell.tids.front(), parent_level, cat,
+                                 &parent_key));
+          const auto parent = (*cells)[parent_index][p].find(parent_key);
+          if (parent == (*cells)[parent_index][p].end()) continue;
+          cell.parent_distances.push_back(
+              OracleDistance(cell.graph, parent->second.graph));
+        }
+      }
+    }
+  }
+}
+
+// The canonical dump of the oracle's cube, with the oracle's redundancy
+// flags at `tau` (all clear when absent).
+std::string OracleDump(const PathDatabase& db, const FlowCubePlan& plan,
+                       const OracleCells& cells, std::optional<double> tau) {
+  FlowCube cube(plan, db.schema_ptr());
+  for (size_t i = 0; i < plan.item_levels.size(); ++i) {
+    for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+      for (const auto& [key, oracle] : cells[i][p]) {
+        FlowCell cell;
+        cell.dims = key;
+        cell.support = static_cast<uint32_t>(oracle.tids.size());
+        cell.graph = oracle.graph;
+        cell.redundant = tau.has_value() && oracle.RedundantAt(*tau);
+        cube.mutable_cuboid(i, p).Insert(std::move(cell));
       }
     }
   }
   return DumpFlowCube(cube);
+}
+
+// Compares every built cell's flag with the oracle's at `tau` and tallies
+// the cells whose flag the distances decided: redundant, and not redundant
+// although they have a parent.
+void ExpectFlagsMatchOracle(const FlowCube& built, const OracleCells& cells,
+                            double tau, size_t* redundant,
+                            size_t* not_redundant) {
+  const FlowCubePlan& plan = built.plan();
+  for (size_t i = 0; i < plan.item_levels.size(); ++i) {
+    for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+      EXPECT_EQ(built.cuboid(i, p).size(), cells[i][p].size());
+      for (const auto& [key, oracle] : cells[i][p]) {
+        const FlowCell* cell = built.cuboid(i, p).Find(key);
+        ASSERT_NE(cell, nullptr);
+        const bool want = oracle.RedundantAt(tau);
+        EXPECT_EQ(cell->redundant, want)
+            << "cell of " << key.size() << " item(s) in cuboid " << i << "/"
+            << p << ", parent distances " << testing::PrintToString(
+                                                 oracle.parent_distances);
+        if (want) {
+          ++*redundant;
+        } else if (!oracle.parent_distances.empty()) {
+          ++*not_redundant;
+        }
+      }
+    }
+  }
+}
+
+// The largest parent distance of the median cell that has parents: a tau
+// at which that cell is redundant only because the verdict is `>`, not
+// `>=`.
+double ObservedTau(const OracleCells& cells) {
+  std::vector<double> max_distances;
+  for (const auto& by_path_level : cells) {
+    for (const auto& cuboid : by_path_level) {
+      for (const auto& [key, cell] : cuboid) {
+        if (cell.parent_distances.empty()) continue;
+        max_distances.push_back(
+            *std::ranges::max_element(cell.parent_distances));
+      }
+    }
+  }
+  if (max_distances.empty()) return 0.0;
+  std::ranges::nth_element(max_distances,
+                           max_distances.begin() + max_distances.size() / 2);
+  return max_distances[max_distances.size() / 2];
 }
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
@@ -410,22 +657,40 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
             0u);
 
   // Byte-equal canonical dumps: Shared-derived cube == Cubing-derived cube
-  // == the production builder's cube (exceptions/redundancy off — those
-  // phases are holistic post-processing, not part of the mining contract).
-  const std::string dump_shared = CubeDumpFromMining(db, plan, tdb, shared);
-  const std::string dump_cubing = CubeDumpFromMining(db, plan, tdb, cubing);
-  EXPECT_FALSE(dump_shared.empty());
-  EXPECT_EQ(dump_shared, dump_cubing);
+  // == the production builder's cube, with redundancy flags from the
+  // oracle's own distances (exceptions off — they are holistic
+  // post-processing, not part of the mining contract).
+  OracleCells shared_cells = CellsFromMining(db, plan, tdb, shared);
+  const OracleCells cubing_cells = CellsFromMining(db, plan, tdb, cubing);
+  EXPECT_EQ(OracleDump(db, plan, shared_cells, std::nullopt),
+            OracleDump(db, plan, cubing_cells, std::nullopt));
+  AddParentDistances(db, plan, tdb.catalog(), &shared_cells);
 
   FlowCubeBuilderOptions bopts;
   bopts.min_support = w.min_support;
   bopts.compute_exceptions = false;
-  bopts.mark_redundant = false;
+  bopts.mark_redundant = true;
   bopts.num_threads = 1;
-  const Result<FlowCube> built =
-      FlowCubeBuilder(bopts).Build(db, plan);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  EXPECT_EQ(dump_shared, DumpFlowCube(built.value()));
+  // The default tau, then one the oracle observed as the largest parent
+  // distance of some cell: at it, a `>=` verdict would clear that flag.
+  const double observed_tau = ObservedTau(shared_cells);
+  for (const double tau : {bopts.redundancy_tau, observed_tau}) {
+    SCOPED_TRACE("tau=" + testing::PrintToString(tau));
+    bopts.redundancy_tau = tau;
+    const Result<FlowCube> built = FlowCubeBuilder(bopts).Build(db, plan);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    size_t redundant = 0;
+    size_t not_redundant = 0;
+    ExpectFlagsMatchOracle(built.value(), shared_cells, tau, &redundant,
+                           &not_redundant);
+    EXPECT_EQ(OracleDump(db, plan, shared_cells, tau),
+              DumpFlowCube(built.value()));
+    if (tau == observed_tau) {
+      // Not vacuous: the observed tau is a median, so both verdicts occur.
+      EXPECT_GT(redundant, 0u);
+      EXPECT_GT(not_redundant, 0u);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeded, DifferentialTest,

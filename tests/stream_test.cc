@@ -493,6 +493,26 @@ TEST_F(MaintainerTest, ApplyStatsTrackPromotionsAndDemotions) {
   EXPECT_EQ(m.total_records(), 30u);
 }
 
+TEST_F(MaintainerTest, ApplyStatsSplitABatchIntoStages) {
+  IncrementalMaintainerOptions options;
+  options.build.min_support = 2;
+  ASSERT_TRUE(options.build.mark_redundant);
+  Result<IncrementalMaintainer> created =
+      IncrementalMaintainer::Create(db_->schema_ptr(), plan_, options);
+  ASSERT_TRUE(created.ok());
+  IncrementalMaintainer m = std::move(created.value());
+  const std::span<const PathRecord> records(db_->records());
+  ASSERT_TRUE(m.ApplyRecords(records.subspan(0, 40)).ok());
+
+  ApplyStats stats;
+  ASSERT_TRUE(m.ApplyRecords(records.subspan(40, 10), &stats).ok());
+  ASSERT_GT(stats.cells_rebuilt, 0u);
+  ASSERT_GT(stats.redundancy_updates, 0u);
+  EXPECT_GT(stats.seconds_cells, 0.0);
+  EXPECT_GT(stats.seconds_redundancy, 0.0);
+  EXPECT_LE(stats.seconds_cells + stats.seconds_redundancy, stats.seconds);
+}
+
 TEST_F(MaintainerTest, ApexCellIsAlwaysMaterialized) {
   IncrementalMaintainerOptions options;
   options.build.min_support = 1000;  // nothing else qualifies
