@@ -2,6 +2,8 @@
 // sweeps the micro-batch size and reports (a) raw-reading ingest throughput
 // through the StreamIngestor pipeline and (b) the speedup of incremental
 // FlowCube maintenance over rebuilding from scratch after every batch.
+// The stream/steady rows (c) time single batches on a large live cube,
+// with exceptions on and off.
 //
 // Expected shape: ingest throughput is roughly flat in batch size (the
 // cleaner dominates); the incremental-vs-rebuild speedup grows as batches
@@ -9,6 +11,7 @@
 // pipeline per batch while Apply() only touches dirty cells.
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -157,6 +160,113 @@ MaintainRun RunMaintain(const PathDatabase& db, size_t batch,
   return run;
 }
 
+// (c) Steady state: ScaledN(20) records loaded through the maintainer,
+// then kSteadyBatches batches of max(1, N/200) records (100 at scale 1).
+// d=3 with {3,3,4} hierarchies, delta = max(2, N/100), redundancy on, one
+// thread. Reports the fastest batch with its two cell stages, the median
+// batch, the initial load, one from-scratch rebuild over every record, and
+// the maintained cube's exact counts.
+constexpr size_t kSteadyBatches = 5;
+
+struct SteadyRun {
+  ApplyStats fastest;
+  double median_seconds = 0.0;
+  double load_seconds = 0.0;
+  double rebuild_seconds = 0.0;
+  size_t cells = 0;
+  size_t redundant = 0;
+  size_t exceptions = 0;
+};
+
+SteadyRun RunSteady(const PathDatabase& db, size_t initial, size_t batch,
+                    const FlowCubeBuilderOptions& build) {
+  const FlowCubePlan plan = FlowCubePlan::Default(db.schema()).value();
+  IncrementalMaintainerOptions options;
+  options.build = build;
+  IncrementalMaintainer maintainer = std::move(
+      IncrementalMaintainer::Create(db.schema_ptr(), plan, options).value());
+  const std::span<const PathRecord> records(db.records());
+  SteadyRun run;
+  ApplyStats stats;
+  FC_CHECK(maintainer.ApplyRecords(records.subspan(0, initial), &stats).ok());
+  run.load_seconds = stats.seconds;
+  std::vector<double> seconds;
+  for (size_t b = 0; b < kSteadyBatches; ++b) {
+    FC_CHECK(maintainer
+                 .ApplyRecords(records.subspan(initial + b * batch, batch),
+                               &stats)
+                 .ok());
+    if (seconds.empty() || stats.seconds < run.fastest.seconds) {
+      run.fastest = stats;
+    }
+    seconds.push_back(stats.seconds);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  run.median_seconds = seconds[seconds.size() / 2];
+  maintainer.cube().ForEachCuboid([&run](const Cuboid& cuboid) {
+    cuboid.ForEach([&run](const FlowCell& cell) {
+      run.cells++;
+      if (cell.redundant) run.redundant++;
+      run.exceptions += cell.graph.exceptions().size();
+    });
+  });
+
+  TraceSpan span("bench.stream.steady_rebuild");
+  benchmark::DoNotOptimize(FlowCubeBuilder(build).Build(db, plan).value());
+  run.rebuild_seconds = span.Stop();
+  return run;
+}
+
+void RegisterSteady() {
+  const size_t n = ScaledN(20);
+  const size_t batch = std::max<size_t>(1, n / 200);
+  GeneratorConfig cfg = BaselineConfig(/*num_dimensions=*/3);
+  cfg.dim_distinct_per_level = {3, 3, 4};
+  FlowCubeBuilderOptions build;
+  build.min_support = std::max<uint32_t>(2, static_cast<uint32_t>(n / 100));
+  build.num_threads = 1;
+  build.mining.num_threads = 1;
+  for (const bool exceptions : {true, false}) {
+    const std::string mode = exceptions ? "exceptions on" : "exceptions off";
+    const std::string bench_name =
+        std::string("stream/steady/exceptions=") + (exceptions ? "on" : "off");
+    build.compute_exceptions = exceptions;
+    benchmark::RegisterBenchmark(
+        bench_name.c_str(),
+        [n, batch, cfg, build, mode](benchmark::State& state) {
+          const PathDatabase& db = Cache().Get(cfg, n + kSteadyBatches * batch);
+          for (auto _ : state) {
+            const SteadyRun run = RunSteady(db, n, batch, build);
+            state.SetIterationTime(run.fastest.seconds);
+            state.counters["rebuild_over_batch"] =
+                run.fastest.seconds > 0
+                    ? run.rebuild_seconds / run.fastest.seconds
+                    : 0.0;
+            Json().AddRow(
+                {JsonField::Str("x", std::to_string(n) + " live records"),
+                 JsonField::Str("mode", mode),
+                 JsonField::Int("live_records", n),
+                 JsonField::Int("batch_records", batch),
+                 JsonField::Int("batches", kSteadyBatches),
+                 JsonField::Int("min_support", build.min_support),
+                 JsonField::Num("seconds", run.fastest.seconds),
+                 JsonField::Num("seconds_cells", run.fastest.seconds_cells),
+                 JsonField::Num("seconds_redundancy",
+                                run.fastest.seconds_redundancy),
+                 JsonField::Num("seconds_median", run.median_seconds),
+                 JsonField::Num("seconds_setup", run.load_seconds),
+                 JsonField::Num("rebuild_seconds", run.rebuild_seconds),
+                 JsonField::Int("cells", run.cells),
+                 JsonField::Int("redundant", run.redundant),
+                 JsonField::Int("exceptions", run.exceptions)});
+          }
+        })
+        ->UseManualTime()
+        ->Iterations(1)
+        ->Unit(benchmark::kSecond);
+  }
+}
+
 void RegisterAll() {
   const size_t n = std::max<size_t>(32, ScaledN(20));
   const uint32_t minsup =
@@ -219,6 +329,7 @@ void RegisterAll() {
 
 int main(int argc, char** argv) {
   RegisterAll();
+  RegisterSteady();
   flowcube::ConsumeMetricsFlag(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

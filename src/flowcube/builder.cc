@@ -108,7 +108,7 @@ Result<FlowCube> FlowCubeBuilder::Build(const PathDatabase& db,
             FlowCell& cell = built[task];
             cell.dims = key;
             const std::vector<SegmentPattern> segments =
-                options_.compute_exceptions
+                options_.compute_exceptions && !IsDurationStarLevel(plan, p)
                     ? result.SegmentsForCell(key, plan.path_levels[p])
                     : std::vector<SegmentPattern>();
             shard_exceptions[shard] += FillCellMeasure(

@@ -27,6 +27,12 @@ bool ParentCellKey(const Itemset& cell, size_t dim, const ItemCatalog& cat,
   return false;
 }
 
+bool IsDurationStarLevel(const FlowCubePlan& plan, size_t pl_index) {
+  FC_CHECK(pl_index < plan.path_levels.size());
+  const int pl = plan.path_levels[pl_index];
+  return plan.mining.path_levels[static_cast<size_t>(pl)].duration_level == 0;
+}
+
 void CellKeyAtLevel(const PathRecord& rec, const ItemLevel& il,
                     const ItemCatalog& cat, const PathSchema& schema,
                     Itemset* key) {
@@ -201,15 +207,17 @@ size_t FillCellMeasure(const LevelChains& chains,
   static Counter& m_paths =
       MetricRegistry::Global().counter("flowgraph.build.paths_added");
   MeasureScratch& s = *scratch;
+  const bool mine_exceptions =
+      exception_miner != nullptr && !segments.empty();
   cell->support = static_cast<uint32_t>(tids.size());
   cell->graph = FlowGraph::FromSealedColumns(
-      CountColumns(chains, tids, cat, exception_miner != nullptr, &s));
+      CountColumns(chains, tids, cat, mine_exceptions, &s));
   m_graphs.Increment();
   m_paths.Add(tids.size());
   FC_AUDIT(AuditFlowGraph(cell->graph));
 
   size_t exceptions = 0;
-  if (exception_miner != nullptr) {
+  if (mine_exceptions) {
     std::vector<std::vector<StageCondition>> patterns;
     for (const SegmentPattern& seg : segments) {
       if (SegmentToPattern(seg, cat, s, &s.pattern)) {

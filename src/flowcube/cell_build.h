@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "flowcube/flowcube.h"
+#include "flowcube/plan.h"
 #include "flowgraph/exception_miner.h"
 #include "flowgraph/similarity.h"
 #include "mining/mining_result.h"
@@ -31,6 +32,15 @@ bool ParentCellKey(const Itemset& cell, size_t dim, const ItemCatalog& cat,
 void CellKeyAtLevel(const PathRecord& rec, const ItemLevel& il,
                     const ItemCatalog& cat, const PathSchema& schema,
                     Itemset* key);
+
+// True when materialized path level `pl_index` (an index into
+// plan.path_levels) views durations at '*' (duration_level 0). Every stage
+// item there carries kAnyDuration, so every path segment conditions on
+// locations alone; §3 conditions exceptions on durations, and
+// ExceptionMiner::Mine drops each such segment as uninformative. The
+// builder and the maintainer therefore find no segments at such a level:
+// the cell's measure is the same without them.
+bool IsDurationStarLevel(const FlowCubePlan& plan, size_t pl_index);
 
 // Reusable state of FillCellMeasure, one per thread: dense maps over the
 // prefix trie and the stage items that are all-unset between calls, plus
@@ -70,7 +80,9 @@ struct MeasureScratch {
 // level: support, the sealed flowgraph, and (when `exception_miner` is
 // non-null) exceptions evaluated against the cell's frequent path
 // segments, which must be sorted the way MiningResult::SegmentsForCell
-// emits them (support desc, stages asc). `tids` must be ascending.
+// emits them (support desc, stages asc). `tids` must be ascending. The
+// members are resolved into node space for the miner only when there is
+// at least one segment: with none, no exception can be conditioned.
 //
 // The graph is counted straight into its sealed columns: nodes are the
 // members' distinct prefixes, numbered in first appearance over ascending

@@ -193,6 +193,32 @@ bool AllSubsetsFrequent(
   return true;
 }
 
+std::vector<ItemCount> CountFrequentItems(
+    std::span<const std::span<const ItemId>> txns, uint32_t min_support,
+    size_t* distinct) {
+  thread_local std::vector<uint32_t> item_counts;
+  std::vector<ItemId> items_seen;
+  for (const std::span<const ItemId> txn : txns) {
+    for (ItemId id : txn) {
+      if (id >= item_counts.size()) {
+        item_counts.resize(std::max<size_t>(id + 1, 2 * item_counts.size()),
+                           0);
+      }
+      if (item_counts[id]++ == 0) items_seen.push_back(id);
+    }
+  }
+  std::vector<ItemCount> frequent;
+  for (ItemId id : items_seen) {
+    if (item_counts[id] >= min_support) {
+      frequent.push_back(ItemCount{id, item_counts[id]});
+    }
+    item_counts[id] = 0;
+  }
+  std::ranges::sort(frequent, {}, &ItemCount::item);
+  if (distinct != nullptr) *distinct = items_seen.size();
+  return frequent;
+}
+
 uint64_t MiningStats::TotalCandidates() const {
   uint64_t total = 0;
   for (uint64_t c : candidates_per_length) total += c;
@@ -234,39 +260,23 @@ std::vector<FrequentItemset> Apriori::Mine(
   uint64_t candidates_this_call = 0;
   uint64_t pruned_this_call = 0;
 
-  // Pass 1: count single items into a dense table indexed by item id. The
-  // table lives per thread and is all zero between calls, so a per-cell
-  // run (Cubing, MineCellSegments) touches only its own items and
-  // allocates nothing once the table has grown to the catalog's size.
-  thread_local std::vector<uint32_t> item_counts;
-  std::vector<ItemId> items_seen;
-  for (const auto& txn : txns) {
-    for (ItemId id : txn) {
-      if (id >= item_counts.size()) {
-        item_counts.resize(std::max<size_t>(id + 1, 2 * item_counts.size()),
-                           0);
-      }
-      if (item_counts[id]++ == 0) items_seen.push_back(id);
-    }
-  }
-  std::sort(items_seen.begin(), items_seen.end());
+  // Pass 1: single items.
+  size_t distinct = 0;
+  const std::vector<ItemCount> singles =
+      CountFrequentItems(txns, options_.min_support, &distinct);
   stats_.passes++;
   passes_this_call++;
   EnsureLength(&stats_.candidates_per_length, 1);
   EnsureLength(&stats_.frequent_per_length, 1);
-  stats_.candidates_per_length[1] += items_seen.size();
-  candidates_this_call += items_seen.size();
+  stats_.candidates_per_length[1] += distinct;
+  candidates_this_call += distinct;
 
   // Frequent items in id order, which is also the sorted order the join
   // needs.
   std::vector<Itemset> frequent_k;
-  for (ItemId id : items_seen) {
-    const uint32_t count = item_counts[id];
-    item_counts[id] = 0;
-    if (count >= options_.min_support) {
-      result.push_back(FrequentItemset{{id}, count});
-      frequent_k.push_back({id});
-    }
+  for (const ItemCount& single : singles) {
+    result.push_back(FrequentItemset{{single.item}, single.count});
+    frequent_k.push_back({single.item});
   }
   stats_.frequent_per_length[1] += frequent_k.size();
 

@@ -98,6 +98,24 @@ bool AllSubsetsFrequent(
     const Itemset& candidate,
     const std::unordered_set<Itemset, ItemsetHash>& frequent_set);
 
+// One item of a pass-1 count and its support.
+struct ItemCount {
+  ItemId item = kInvalidItem;
+  uint32_t count = 0;
+};
+
+// Pass 1 of Apriori: counts every item of `txns` (in any order within a
+// transaction) and returns the items whose count reaches `min_support`,
+// with their counts, ascending by id; `*distinct`, when given, receives
+// the number of distinct items seen. Counts go into a dense table indexed
+// by item id that lives per thread and is all zero between calls, so a
+// per-cell run (Cubing, MineCellSegments) touches only its own items and
+// allocates nothing for the table once it has grown to the catalog's size.
+// Only the frequent items are sorted.
+std::vector<ItemCount> CountFrequentItems(
+    std::span<const std::span<const ItemId>> txns, uint32_t min_support,
+    size_t* distinct = nullptr);
+
 // Options of the plain Apriori miner.
 struct AprioriOptions {
   // Absolute minimum support count.

@@ -10,20 +10,38 @@ namespace flowcube {
 std::vector<SegmentPattern> MineCellSegments(const LevelChains& chains,
                                              std::span<const uint32_t> tids,
                                              uint32_t min_support) {
-  // Project each member onto its chain at the level. A chain is in stage
-  // order; Apriori wants each transaction's items sorted.
-  std::vector<uint32_t> begin = {0};
-  std::vector<ItemId> items;
-  for (uint32_t tid : tids) {
-    FC_CHECK(tid < chains.size());
-    const std::span<const ItemId> chain = chains[tid];
-    items.insert(items.end(), chain.begin(), chain.end());
-    std::sort(items.end() - static_cast<ptrdiff_t>(chain.size()), items.end());
-    begin.push_back(static_cast<uint32_t>(items.size()));
-  }
+  // Prefilter: count the members' stage items once. Every item of a
+  // frequent segment is itself frequent (Apriori's anti-monotonicity), so
+  // a cell with no item at min_support has no segment, and an infrequent
+  // item takes part in no frequent segment.
   std::vector<std::span<const ItemId>> txns;
   txns.reserve(tids.size());
-  for (size_t i = 0; i < tids.size(); ++i) {
+  for (uint32_t tid : tids) {
+    FC_CHECK(tid < chains.size());
+    txns.push_back(chains[tid]);
+  }
+  const std::vector<ItemCount> frequent =
+      CountFrequentItems(txns, min_support);
+  if (frequent.empty()) return {};
+
+  // Project each member onto its frequent items. A chain is in stage
+  // order; Apriori wants each transaction's items sorted. A member left
+  // with no item supports no segment and is dropped.
+  std::vector<uint32_t> begin = {0};
+  std::vector<ItemId> items;
+  for (const std::span<const ItemId> chain : txns) {
+    const size_t start = items.size();
+    for (ItemId id : chain) {
+      if (std::ranges::binary_search(frequent, id, {}, &ItemCount::item)) {
+        items.push_back(id);
+      }
+    }
+    if (items.size() == start) continue;
+    std::sort(items.begin() + static_cast<ptrdiff_t>(start), items.end());
+    begin.push_back(static_cast<uint32_t>(items.size()));
+  }
+  txns.clear();
+  for (size_t i = 0; i + 1 < begin.size(); ++i) {
     txns.emplace_back(items.data() + begin[i], begin[i + 1] - begin[i]);
   }
 

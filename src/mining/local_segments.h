@@ -12,6 +12,11 @@ namespace flowcube {
 // Mines the frequent path segments of one cell directly from its member
 // transactions: each member is projected onto its stage chain at one path
 // abstraction level and run through plain exact Apriori at `min_support`.
+// A prefilter counts the chains' stage items first (CountFrequentItems,
+// Apriori's pass 1): when no item reaches `min_support` it returns
+// nothing without projecting a chain, and otherwise each member is
+// projected onto its frequent items only, which by anti-monotonicity
+// leaves every frequent segment and its support unchanged.
 //
 // For a cell whose members are exactly the transactions containing its
 // dimension items (which holds for every cuboid cell: a record maps to the

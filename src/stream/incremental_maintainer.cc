@@ -269,7 +269,8 @@ void IncrementalMaintainer::RebuildDirtyCells(const std::vector<KeySet>& dirty,
         FlowCell cell;
         cell.dims = key;
         const std::vector<SegmentPattern> segments =
-            options_.build.compute_exceptions
+            options_.build.compute_exceptions &&
+                    !IsDurationStarLevel(plan_, p)
                 ? MineCellSegments(chains, state.tids, min_support)
                 : std::vector<SegmentPattern>();
         FillCellMeasure(

@@ -3,7 +3,8 @@
 // It must equal the reference measure built from the members' aggregated
 // paths — BuildFlowGraph (AddPath), exceptions mined over chains this test
 // resolves with its own FindChild walk, then Seal() — column by column,
-// exception by exception, and in MemoryUsage().
+// exception by exception, and in MemoryUsage(). At the duration-'*' levels
+// it also shows that the cell's segments add no exception.
 
 #include <algorithm>
 #include <cstdint>
@@ -125,6 +126,7 @@ struct Coverage {
   size_t single_stage_paths = 0;
   size_t shared_locations = 0;  // a location under two different prefixes
   size_t star_levels = 0;       // cells at a duration-'*' level
+  size_t star_segments = 0;     // segments mined at a duration-'*' level
   size_t merged_stages = 0;     // coarse-cut paths shorter than their raw path
   size_t exceptions = 0;
 };
@@ -169,6 +171,24 @@ void CheckDatabase(const PathDatabase& db,
         const FlowCell want = ReferenceMeasure(agg, tids, segments, cat, m);
         ExpectSameMeasure(got, want);
         if (m != nullptr) cov->exceptions += got.graph.exceptions().size();
+      }
+
+      // At a duration-'*' level every segment conditions on locations
+      // alone, and §3 conditions exceptions on durations: the cell built
+      // with the miner on has no exception and equals the cell built with
+      // no segments, which is why the builder and the maintainer find no
+      // segments there.
+      EXPECT_EQ(IsDurationStarLevel(plan, p), level.duration_level == 0);
+      if (level.duration_level == 0) {
+        FlowCell mined;
+        FillCellMeasure(chains.level(p), tids, segments, cat, &miner,
+                        &scratch, &mined);
+        FlowCell unmined;
+        FillCellMeasure(chains.level(p), tids, {}, cat, &miner, &scratch,
+                        &unmined);
+        EXPECT_TRUE(mined.graph.exceptions().empty());
+        ExpectSameMeasure(mined, unmined);
+        cov->star_segments += segments.size();
       }
 
       cov->cells++;
@@ -216,6 +236,7 @@ TEST(CellMeasureTest, PaperDatabaseEqualsReference) {
   // dist.center and truck merge into transportation at the coarse cut.
   EXPECT_GT(cov.merged_stages, 0u);
   EXPECT_GT(cov.star_levels, 0u);
+  EXPECT_GT(cov.star_segments, 0u);
 }
 
 TEST(CellMeasureTest, GeneratedDatabasesEqualReference) {
@@ -241,6 +262,7 @@ TEST(CellMeasureTest, GeneratedDatabasesEqualReference) {
   EXPECT_GT(cov.single_stage_paths, 0u);
   EXPECT_GT(cov.shared_locations, 0u);
   EXPECT_GT(cov.star_levels, 0u);
+  EXPECT_GT(cov.star_segments, 0u);
   EXPECT_GT(cov.merged_stages, 0u);
   EXPECT_GT(cov.exceptions, 0u);
 }

@@ -283,20 +283,29 @@ Segments OracleSegments(const TransformedDatabase& tdb,
   return out;
 }
 
+// Segments the oracle checked, split by the duration level of their path
+// level.
+struct SegmentsChecked {
+  size_t timed = 0;
+  size_t star = 0;
+};
+
 // Every frequent cell at every item level and materialized path level:
 // Shared's and Cubing's SegmentsForCell and MineCellSegments over the
-// cell's members must each equal the oracle. Returns the number of
-// segments checked.
-size_t ExpectSegmentsMatchOracle(const PathDatabase& db,
-                                 const FlowCubePlan& plan,
-                                 const TransformedDatabase& tdb,
-                                 const MiningResult& shared,
-                                 const MiningResult& cubing,
-                                 uint32_t min_support) {
+// cell's members must each equal the oracle. The duration-'*' levels are
+// checked too: the builder and the maintainer do not ask for segments
+// there (IsDurationStarLevel), but the miners must be exact at every
+// level.
+SegmentsChecked ExpectSegmentsMatchOracle(const PathDatabase& db,
+                                          const FlowCubePlan& plan,
+                                          const TransformedDatabase& tdb,
+                                          const MiningResult& shared,
+                                          const MiningResult& cubing,
+                                          uint32_t min_support) {
   const ItemCatalog& cat = tdb.catalog();
   StageChains chains(plan.path_levels, plan.mining.path_levels.size());
   for (const Transaction& txn : tdb.transactions()) chains.Append(txn, cat);
-  size_t checked = 0;
+  SegmentsChecked checked;
   for (const ItemLevel& il : plan.item_levels) {
     for (const auto& [key, tids] : MembersAtLevel(db, il, cat)) {
       if (tids.size() < min_support) continue;
@@ -314,7 +323,10 @@ size_t ExpectSegmentsMatchOracle(const PathDatabase& db,
                                            min_support)),
                   want)
             << "MineCellSegments";
-        checked += want.size();
+        const bool star =
+            plan.mining.path_levels[static_cast<size_t>(pl)].duration_level ==
+            0;
+        (star ? checked.star : checked.timed) += want.size();
       }
     }
   }
@@ -651,10 +663,12 @@ TEST_P(DifferentialTest, MinersAgreeWithNaiveOracle) {
                       tdb.catalog(), "CubingMiner");
   ExpectSupportsMatchReference(shared, tdb, "SharedMiner");
   ExpectSupportsMatchReference(cubing, tdb, "CubingMiner");
-  // Not vacuous either: every workload's apex alone has frequent segments.
-  EXPECT_GT(ExpectSegmentsMatchOracle(db, plan, tdb, shared, cubing,
-                                      w.min_support),
-            0u);
+  // Not vacuous either: every workload's apex alone has frequent segments,
+  // at the timed levels and at the duration-'*' ones.
+  const SegmentsChecked segments_checked = ExpectSegmentsMatchOracle(
+      db, plan, tdb, shared, cubing, w.min_support);
+  EXPECT_GT(segments_checked.timed, 0u);
+  EXPECT_GT(segments_checked.star, 0u);
 
   // Byte-equal canonical dumps: Shared-derived cube == Cubing-derived cube
   // == the production builder's cube, with redundancy flags from the

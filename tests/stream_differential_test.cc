@@ -6,10 +6,12 @@
 // driven through 3 batch-size schedules with exceptions and redundancy
 // marking on, checked after every single batch. A second suite exercises
 // sliding-window maintenance (exceptions off) against rebuilds over the
-// live window.
+// live window. A third runs a three-level duration hierarchy whose plan
+// materializes a timed duration level that is not the finest.
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "flowcube/builder.h"
 #include "flowcube/dump.h"
 #include "gen/path_generator.h"
+#include "rfid/discretizer.h"
 #include "stream/incremental_maintainer.h"
 
 namespace flowcube {
@@ -172,6 +175,82 @@ TEST_P(WindowDifferential, WindowEqualsRebuildOverLiveRecords) {
 
 INSTANTIATE_TEST_SUITE_P(Workloads, WindowDifferential,
                          ::testing::Range(0, 8));
+
+// The default plan views durations at the finest level and at '*' only.
+// This one uses the hierarchy raw -> raw / 4 -> '*' and materializes all
+// three duration levels at every cut, so level 1 is timed but not the
+// finest: the maintainer must mine segments there too.
+FlowCubePlan ThreeDurationLevelPlan(const PathSchema& schema) {
+  FlowCubePlan plan = FlowCubePlan::Default(schema).value();
+  plan.mining.path_levels.clear();
+  plan.path_levels.clear();
+  for (int cut = 0; cut < static_cast<int>(plan.mining.cuts.size()); ++cut) {
+    for (int duration_level : {2, 1, 0}) {
+      plan.path_levels.push_back(
+          static_cast<int>(plan.mining.path_levels.size()));
+      plan.mining.path_levels.push_back(PathLevel{cut, duration_level});
+    }
+  }
+  return plan;
+}
+
+TEST(CoarseDurationDifferential, MiddleDurationLevelEqualsRebuild) {
+  size_t middle_level_exceptions = 0;
+  for (int seed = 0; seed < 4; ++seed) {
+    const Workload w = MakeWorkload(seed);
+    const PathDatabase generated = PathGenerator(w.cfg).Generate(w.num_records);
+    auto schema = std::make_shared<PathSchema>(generated.schema());
+    schema->durations = DurationHierarchy({4});
+    PathDatabase db(schema);
+    for (const PathRecord& rec : generated.records()) {
+      ASSERT_TRUE(db.Append(rec).ok());
+    }
+    const FlowCubePlan plan = ThreeDurationLevelPlan(*schema);
+
+    for (int schedule = 0; schedule < 3; ++schedule) {
+      IncrementalMaintainerOptions options;
+      options.build = BuildOptions(w.min_support, /*compute_exceptions=*/true);
+      Result<IncrementalMaintainer> created =
+          IncrementalMaintainer::Create(db.schema_ptr(), plan, options);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      IncrementalMaintainer maintainer = std::move(created.value());
+
+      PathDatabase prefix(db.schema_ptr());
+      size_t offset = 0;
+      for (const size_t batch : Schedule(schedule, db.size())) {
+        ASSERT_TRUE(
+            maintainer
+                .ApplyRecords(std::span<const PathRecord>(db.records())
+                                  .subspan(offset, batch))
+                .ok());
+        for (size_t i = 0; i < batch; ++i) {
+          ASSERT_TRUE(prefix.Append(db.record(offset + i)).ok());
+        }
+        offset += batch;
+        ASSERT_EQ(DumpFlowCube(maintainer.cube()),
+                  RebuildDump(prefix, plan, options.build))
+            << "seed " << seed << ", schedule " << schedule
+            << " diverged after " << offset << " records";
+      }
+
+      const FlowCube& cube = maintainer.cube();
+      for (size_t i = 0; i < plan.item_levels.size(); ++i) {
+        for (size_t p = 0; p < plan.path_levels.size(); ++p) {
+          const int pl = plan.path_levels[p];
+          if (plan.mining.path_levels[static_cast<size_t>(pl)]
+                  .duration_level != 1) {
+            continue;
+          }
+          cube.cuboid(i, p).ForEach([&](const FlowCell& cell) {
+            middle_level_exceptions += cell.graph.exceptions().size();
+          });
+        }
+      }
+    }
+  }
+  // Not vacuous: a rule that mined only the finest level would drop these.
+  EXPECT_GT(middle_level_exceptions, 0u);
+}
 
 }  // namespace
 }  // namespace flowcube
