@@ -12,6 +12,8 @@
 // force algorithm Basic on the configurations where the paper itself could
 // not run it.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -120,7 +122,9 @@ class BenchJson {
   }
 
   // Serializes the document and writes BENCH_<name>.json. Returns the path
-  // written (empty on I/O failure, reported on stderr).
+  // written (empty on I/O failure, reported on stderr). The header's
+  // "threads" is the pool size the process resolves; a row that pins its
+  // own thread count carries it as a "threads" field.
   std::string Write() const {
     std::string out = "{\n";
     out += "  \"name\": \"" + JsonEscape(name_) + "\",\n";
@@ -155,13 +159,21 @@ class BenchJson {
     if (const char* dir = std::getenv("FLOWCUBE_BENCH_JSON_DIR")) {
       if (dir[0] != '\0') path = std::string(dir) + "/" + path;
     }
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    // Written beside the target and renamed into place, so a reader (a
+    // baseline gate under ctest -j) sees the old document or the whole new
+    // one, never a partial write. The pid keeps concurrent writers apart.
+    const std::string tmp = path + ".tmp" + std::to_string(getpid());
+    std::FILE* f = std::fopen(tmp.c_str(), "w");
+    bool ok = f != nullptr;
+    if (ok) {
+      ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
+      ok = std::fclose(f) == 0 && ok;
+    }
+    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+      std::remove(tmp.c_str());
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       return "";
     }
-    std::fwrite(out.data(), 1, out.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return path;
   }
@@ -278,6 +290,7 @@ struct BuildRun {
   uint64_t cells = 0;
   uint64_t redundant = 0;
   uint64_t exceptions = 0;
+  int threads = 0;  // the builder's pool size
 };
 
 // The fastest of `repeats` single-threaded builds at the default plan,
@@ -298,7 +311,8 @@ inline BuildRun RunBuild(const PathDatabase& db, uint32_t minsup,
     best = BuildRun{stats.seconds_total,      stats.seconds_transform,
                     stats.seconds_mining,     stats.seconds_measures,
                     stats.seconds_redundancy, stats.cells_materialized,
-                    stats.cells_marked_redundant, stats.exceptions_found};
+                    stats.cells_marked_redundant, stats.exceptions_found,
+                    opts.num_threads};
   }
   return best;
 }
@@ -384,6 +398,8 @@ class Summary {
     for (const BuildRow& b : builds_) {
       json.AddRow({JsonField::Str("x", b.x), JsonField::Str("algo", "build"),
                    JsonField::Bool("ran", true),
+                   JsonField::Int("threads",
+                                  static_cast<uint64_t>(b.run.threads)),
                    JsonField::Num("seconds", b.run.seconds),
                    JsonField::Num("seconds_transform", b.run.seconds_transform),
                    JsonField::Num("seconds_mining", b.run.seconds_mining),

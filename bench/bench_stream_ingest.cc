@@ -249,6 +249,8 @@ void RegisterSteady() {
                  JsonField::Int("batch_records", batch),
                  JsonField::Int("batches", kSteadyBatches),
                  JsonField::Int("min_support", build.min_support),
+                 JsonField::Int("threads",
+                                static_cast<uint64_t>(build.num_threads)),
                  JsonField::Num("seconds", run.fastest.seconds),
                  JsonField::Num("seconds_cells", run.fastest.seconds_cells),
                  JsonField::Num("seconds_redundancy",

@@ -64,18 +64,7 @@ void CheckChildren(std::string_view body, const FuzzFixture& fx) {
 void CheckStats(std::string_view body, const FuzzFixture& fx) {
   FetchedStats fetched;
   if (!DecodeStatsBody(body, fx.plan, &fetched).ok()) return;
-  std::vector<std::vector<FlowCell>> cells(fetched.cuboids.size());
-  std::vector<std::vector<const FlowCell*>> cuboids(fetched.cuboids.size());
-  for (size_t c = 0; c < fetched.cuboids.size(); ++c) {
-    for (const auto& [key, support] : fetched.cuboids[c]) {
-      FlowCell cell;
-      cell.dims = key;
-      cell.support = support;
-      cells[c].push_back(std::move(cell));
-    }
-    for (const FlowCell& cell : cells[c]) cuboids[c].push_back(&cell);
-  }
-  FC_CHECK_MSG(EncodeStatsBody(fetched.records, fx.plan, cuboids) == body,
+  FC_CHECK_MSG(EncodeStatsBody(fx.plan, fetched) == body,
                "accepted stats body did not re-encode identically");
 }
 

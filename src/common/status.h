@@ -65,6 +65,10 @@ class Status {
   static Status DeadlineExceeded(std::string_view msg) {
     return Status(Code::kDeadlineExceeded, msg);
   }
+  // A status of any code, e.g. one carried on the wire; kOk drops `msg`.
+  static Status FromCode(Code code, std::string_view msg) {
+    return code == Code::kOk ? Status() : Status(code, msg);
+  }
 
   // True iff the operation succeeded.
   bool ok() const { return code_ == Code::kOk; }

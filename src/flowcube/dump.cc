@@ -1,31 +1,44 @@
 #include "flowcube/dump.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
+#include <charconv>
 #include <cstdio>
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace flowcube {
 namespace {
 
-void AppendF(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
+// Integers are written with std::to_chars, which prints exactly what the
+// printf conversions of the documented format print (%u, %d, %zu,
+// PRId64) without a format parser per field.
+template <typename Int>
+void AppendInt(std::string* out, Int value) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
+}
 
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf, static_cast<size_t>(std::min<int>(
-                       n, static_cast<int>(sizeof(buf)) - 1)));
+// `label` then the integer, e.g. " loc=" 7.
+template <typename Int>
+void AppendField(std::string* out, std::string_view label, Int value) {
+  out->append(label);
+  AppendInt(out, value);
+}
+
+// %.17g round-trips doubles exactly, so equal dumps mean bitwise-equal
+// probabilities.
+void AppendDouble(std::string* out, double value) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+  out->append(buf, static_cast<size_t>(n));
 }
 
 void AppendItemset(std::string* out, const Itemset& items) {
   out->push_back('[');
   for (size_t i = 0; i < items.size(); ++i) {
-    AppendF(out, i == 0 ? "%" PRIu32 : ",%" PRIu32, items[i]);
+    if (i > 0) out->push_back(',');
+    AppendInt(out, items[i]);
   }
   out->push_back(']');
 }
@@ -34,45 +47,65 @@ void AppendCondition(std::string* out,
                      const std::vector<StageCondition>& condition) {
   out->push_back('{');
   for (size_t i = 0; i < condition.size(); ++i) {
-    AppendF(out,
-            i == 0 ? "(%" PRIu32 ",%" PRId64 ")" : " (%" PRIu32 ",%" PRId64 ")",
-            condition[i].node, condition[i].duration);
+    out->append(i == 0 ? "(" : " (");
+    AppendInt(out, condition[i].node);
+    out->push_back(',');
+    AppendInt(out, condition[i].duration);
+    out->push_back(')');
   }
   out->push_back('}');
 }
 
 void AppendGraph(std::string* out, const FlowGraph& g) {
-  AppendF(out, "  graph nodes=%zu total_paths=%" PRIu32 "\n", g.num_nodes(),
-          g.total_paths());
+  AppendField(out, "  graph nodes=", g.num_nodes());
+  AppendField(out, " total_paths=", g.total_paths());
+  out->push_back('\n');
   for (FlowNodeId n = 0; n < g.num_nodes(); ++n) {
-    AppendF(out,
-            "  node %" PRIu32 " loc=%" PRIu32 " parent=%" PRIu32
-            " depth=%d paths=%" PRIu32 " term=%" PRIu32 " durs=",
-            n, g.location(n), g.parent(n), g.depth(n), g.path_count(n),
-            g.terminate_count(n));
+    AppendField(out, "  node ", n);
+    AppendField(out, " loc=", g.location(n));
+    AppendField(out, " parent=", g.parent(n));
+    AppendField(out, " depth=", g.depth(n));
+    AppendField(out, " paths=", g.path_count(n));
+    AppendField(out, " term=", g.terminate_count(n));
+    out->append(" durs=");
     for (const auto& [d, c] : g.duration_counts(n)) {
-      AppendF(out, "(%" PRId64 ":%" PRIu32 ")", d, c);
+      AppendField(out, "(", d);
+      AppendField(out, ":", c);
+      out->push_back(')');
     }
     out->append(" children=");
-    for (FlowNodeId c : g.children(n)) AppendF(out, "%" PRIu32 " ", c);
+    for (FlowNodeId c : g.children(n)) {
+      AppendInt(out, c);
+      out->push_back(' ');
+    }
     out->push_back('\n');
   }
   for (const FlowException& e : g.exceptions()) {
-    AppendF(out, "  exc kind=%d node=%" PRIu32, static_cast<int>(e.kind),
-            e.node);
+    AppendField(out, "  exc kind=", static_cast<int>(e.kind));
+    AppendField(out, " node=", e.node);
     if (e.kind == FlowException::Kind::kTransition) {
-      AppendF(out, " target=%" PRIu32, e.transition_target);
+      AppendField(out, " target=", e.transition_target);
     } else {
-      AppendF(out, " dur=%" PRId64, e.duration_value);
+      AppendField(out, " dur=", e.duration_value);
     }
-    // %.17g round-trips doubles exactly, so equal dumps mean bitwise-equal
-    // probabilities.
-    AppendF(out, " p_glob=%.17g p_cond=%.17g support=%" PRIu32 " cond=",
-            e.global_probability, e.conditional_probability,
-            e.condition_support);
+    out->append(" p_glob=");
+    AppendDouble(out, e.global_probability);
+    out->append(" p_cond=");
+    AppendDouble(out, e.conditional_probability);
+    AppendField(out, " support=", e.condition_support);
+    out->append(" cond=");
     AppendCondition(out, e.condition);
     out->push_back('\n');
   }
+}
+
+void AppendCell(std::string* out, const FlowCell& cell) {
+  out->append("cell dims=");
+  AppendItemset(out, cell.dims);
+  AppendField(out, " support=", cell.support);
+  AppendField(out, " redundant=", cell.redundant ? 1 : 0);
+  out->push_back('\n');
+  AppendGraph(out, cell.graph);
 }
 
 }  // namespace
@@ -84,18 +117,16 @@ std::string DumpFlowGraph(const FlowGraph& graph) {
 }
 
 std::string DumpFlowCell(const FlowCell& cell) {
-  std::string out = "cell dims=";
-  AppendItemset(&out, cell.dims);
-  AppendF(&out, " support=%" PRIu32 " redundant=%d\n", cell.support,
-          cell.redundant ? 1 : 0);
-  AppendGraph(&out, cell.graph);
+  std::string out;
+  AppendCell(&out, cell);
   return out;
 }
 
 std::string DumpFlowCube(const FlowCube& cube) {
   std::string out;
-  AppendF(&out, "flowcube cuboids=%zu cells=%zu\n", cube.num_cuboids(),
-          cube.TotalCells());
+  AppendField(&out, "flowcube cuboids=", cube.num_cuboids());
+  AppendField(&out, " cells=", cube.TotalCells());
+  out.push_back('\n');
   const FlowCubePlan& plan = cube.plan();
   for (size_t i = 0; i < plan.item_levels.size(); ++i) {
     for (size_t p = 0; p < plan.path_levels.size(); ++p) {
@@ -103,13 +134,15 @@ std::string DumpFlowCube(const FlowCube& cube) {
       out.append("cuboid il=[");
       const ItemLevel& il = cuboid.item_level();
       for (size_t d = 0; d < il.levels.size(); ++d) {
-        AppendF(&out, d == 0 ? "%d" : ",%d", il.levels[d]);
+        if (d > 0) out.push_back(',');
+        AppendInt(&out, il.levels[d]);
       }
-      AppendF(&out, "] pl=%d cells=%zu\n", cuboid.path_level(),
-              cuboid.size());
+      AppendField(&out, "] pl=", cuboid.path_level());
+      AppendField(&out, " cells=", cuboid.size());
+      out.push_back('\n');
       // Canonical cell order: the dump is independent of insertion order.
       for (const FlowCell* cell : cuboid.SortedCells()) {
-        out.append(DumpFlowCell(*cell));
+        AppendCell(&out, *cell);
       }
     }
   }

@@ -90,6 +90,77 @@ std::string LookupCacheKey(uint64_t epoch, const QueryRequest& request) {
   return key;
 }
 
+Status NoSnapshotYet() {
+  return Status::FailedPrecondition("no snapshot published yet");
+}
+
+// The cells a kCellFetchBatch names; null where the shard holds none.
+std::vector<const FlowCell*> FindCells(const FlowCube& cube,
+                                       const QueryRequest& request) {
+  std::vector<const FlowCell*> cells;
+  cells.reserve(request.coords.size());
+  for (const WireCellCoord& c : request.coords) {
+    cells.push_back(cube.cuboid(c.il_index, request.pl_index).Find(c.key));
+  }
+  return cells;
+}
+
+// The parent a kChildrenFetch names (null when the shard does not hold it)
+// and its drill-down children, sorted by coordinates.
+const FlowCell* FindChildren(const FlowCube& cube, const QueryRequest& request,
+                             std::vector<const FlowCell*>* children) {
+  const WireCellCoord& c = request.coords[0];
+  const FlowCell* parent =
+      cube.cuboid(c.il_index, request.pl_index).Find(c.key);
+  children->clear();
+  if (parent == nullptr) return nullptr;
+  const FlowCubeQuery query(&cube);
+  for (const CellRef& child : query.DrillDown(
+           CellRef{parent, c.il_index, request.pl_index}, request.dim)) {
+    children->push_back(child.cell);
+  }
+  std::sort(children->begin(), children->end(),
+            [](const FlowCell* a, const FlowCell* b) {
+              return a->dims < b->dims;
+            });
+  return parent;
+}
+
+// Every cell key and support of the snapshot: the kStatsFetch answer.
+FetchedStats CollectStats(const CubeSnapshot& snapshot) {
+  const FlowCube& cube = *snapshot.cube;
+  const FlowCubePlan& plan = cube.plan();
+  const size_t cells = cube.TotalCells();
+  FetchedStats stats;
+  stats.records = snapshot.records;
+  stats.cuboid_begin.reserve(cube.num_cuboids() + 1);
+  stats.key_begin.reserve(cells + 1);
+  stats.items.reserve(cells * cube.schema().num_dimensions());
+  stats.supports.reserve(cells);
+  for (size_t il = 0; il < plan.item_levels.size(); ++il) {
+    for (size_t pl = 0; pl < plan.path_levels.size(); ++pl) {
+      for (const FlowCell* cell : cube.cuboid(il, pl).SortedCells()) {
+        stats.AddCell(cell->dims, cell->support);
+      }
+      stats.EndCuboid();
+    }
+  }
+  return stats;
+}
+
+// One cell handed out in process. The graph copy shares the sealed column
+// block; the support check is the one the wire decoder makes.
+Status ToFetched(const FlowCell* cell, FetchedCell* out) {
+  if (cell == nullptr) return Status::OK();
+  if (cell->support != cell->graph.total_paths()) {
+    return MalformedInternalBody();
+  }
+  out->found = true;
+  out->support = cell->support;
+  out->graph = cell->graph;
+  return Status::OK();
+}
+
 }  // namespace
 
 QueryService::QueryService(const SnapshotRegistry* registry,
@@ -130,8 +201,7 @@ QueryResponse QueryService::Execute(const QueryRequest& request) const {
   if (snapshot == nullptr) {
     ServiceMetrics::Get().requests.Increment();
     ServiceMetrics::Get().errors.Increment();
-    return ErrorResponse(
-        request, 0, Status::FailedPrecondition("no snapshot published yet"));
+    return ErrorResponse(request, 0, NoSnapshotYet());
   }
   ServiceMetrics::Get().epoch_lag.Set(
       static_cast<int64_t>(registry_->current_epoch() - snapshot->epoch));
@@ -238,46 +308,86 @@ QueryResponse QueryService::ExecuteOn(const CubeSnapshot& snapshot,
                       "\n";
       break;
     }
-    case RequestType::kCellFetchBatch: {
-      std::vector<const FlowCell*> cells;
-      cells.reserve(request.coords.size());
-      for (const WireCellCoord& c : request.coords) {
-        cells.push_back(cube.cuboid(c.il_index, request.pl_index).Find(c.key));
-      }
-      response.body = EncodeCellFetchBody(cells);
+    case RequestType::kCellFetchBatch:
+      response.body = EncodeCellFetchBody(FindCells(cube, request));
       break;
-    }
     case RequestType::kChildrenFetch: {
-      const WireCellCoord& c = request.coords[0];
-      const FlowCell* parent =
-          cube.cuboid(c.il_index, request.pl_index).Find(c.key);
       std::vector<const FlowCell*> children;
-      if (parent != nullptr) {
-        for (const CellRef& child : query.DrillDown(
-                 CellRef{parent, c.il_index, request.pl_index}, request.dim)) {
-          children.push_back(child.cell);
-        }
-        std::sort(children.begin(), children.end(),
-                  [](const FlowCell* a, const FlowCell* b) {
-                    return a->dims < b->dims;
-                  });
-      }
+      const FlowCell* parent = FindChildren(cube, request, &children);
       response.body = EncodeChildrenBody(parent, children);
       break;
     }
-    case RequestType::kStatsFetch: {
-      std::vector<std::vector<const FlowCell*>> cuboids;
-      const FlowCubePlan& plan = cube.plan();
-      for (size_t il = 0; il < plan.item_levels.size(); ++il) {
-        for (size_t pl = 0; pl < plan.path_levels.size(); ++pl) {
-          cuboids.push_back(cube.cuboid(il, pl).SortedCells());
-        }
-      }
-      response.body = EncodeStatsBody(snapshot.records, plan, cuboids);
+    case RequestType::kStatsFetch:
+      response.body = EncodeStatsBody(cube.plan(), CollectStats(snapshot));
       break;
-    }
   }
   return response;
+}
+
+Result<SnapshotPtr> QueryService::PinFor(const QueryRequest& request) const {
+  ServiceMetrics& metrics = ServiceMetrics::Get();
+  metrics.requests.Increment();
+  SnapshotPtr snapshot = registry_->Acquire();
+  Status status = NoSnapshotYet();
+  if (snapshot != nullptr) {
+    // ExecuteOn checks the shape of every request but the stats ones.
+    status = request.type == RequestType::kStatsFetch
+                 ? Status::OK()
+                 : CheckShape(*snapshot->cube, request);
+  }
+  if (!status.ok()) {
+    metrics.errors.Increment();
+    return status;
+  }
+  metrics.epoch_lag.Set(
+      static_cast<int64_t>(registry_->current_epoch() - snapshot->epoch));
+  return snapshot;
+}
+
+Result<Pinned<std::vector<FetchedCell>>> QueryService::FetchCells(
+    const QueryRequest& request) const {
+  FC_CHECK(request.type == RequestType::kCellFetchBatch);
+  Result<SnapshotPtr> snapshot = PinFor(request);
+  if (!snapshot.ok()) return snapshot.status();
+  const std::vector<const FlowCell*> cells =
+      FindCells(*(*snapshot)->cube, request);
+  Pinned<std::vector<FetchedCell>> out;
+  out.epoch = (*snapshot)->epoch;
+  out.value.resize(cells.size());
+  for (size_t i = 0; i < cells.size(); ++i) {
+    FC_RETURN_IF_ERROR(ToFetched(cells[i], &out.value[i]));
+  }
+  return out;
+}
+
+Result<Pinned<FetchedChildren>> QueryService::FetchChildren(
+    const QueryRequest& request) const {
+  FC_CHECK(request.type == RequestType::kChildrenFetch);
+  Result<SnapshotPtr> snapshot = PinFor(request);
+  if (!snapshot.ok()) return snapshot.status();
+  std::vector<const FlowCell*> children;
+  const FlowCell* parent =
+      FindChildren(*(*snapshot)->cube, request, &children);
+  Pinned<FetchedChildren> out;
+  out.epoch = (*snapshot)->epoch;
+  FC_RETURN_IF_ERROR(ToFetched(parent, &out.value.parent));
+  out.value.children.resize(children.size());
+  for (size_t i = 0; i < children.size(); ++i) {
+    out.value.children[i].first = children[i]->dims;
+    FC_RETURN_IF_ERROR(ToFetched(children[i], &out.value.children[i].second));
+  }
+  return out;
+}
+
+Result<Pinned<FetchedStats>> QueryService::FetchStats(
+    const QueryRequest& request) const {
+  FC_CHECK(request.type == RequestType::kStatsFetch);
+  Result<SnapshotPtr> snapshot = PinFor(request);
+  if (!snapshot.ok()) return snapshot.status();
+  Pinned<FetchedStats> out;
+  out.epoch = (*snapshot)->epoch;
+  out.value = CollectStats(**snapshot);
+  return out;
 }
 
 }  // namespace flowcube

@@ -7,11 +7,21 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/status.h"
 #include "common/thread_annotations.h"
 #include "serve/protocol.h"
+#include "serve/shard_codec.h"
 #include "serve/snapshot_registry.h"
 
 namespace flowcube {
+
+// A shard-internal request answered in process: its typed result and the
+// epoch of the snapshot it was read from.
+template <typename T>
+struct Pinned {
+  uint64_t epoch = 0;
+  T value;
+};
 
 // Tuning knobs for QueryService.
 struct QueryServiceOptions {
@@ -47,7 +57,9 @@ struct QueryServiceOptions {
 //     clone and a rebuild, and the body must not)
 //
 // The shard-internal requests (kCellFetchBatch, kChildrenFetch,
-// kStatsFetch) carry the binary bodies of serve/shard_codec.h instead.
+// kStatsFetch) carry the binary bodies of serve/shard_codec.h instead, or,
+// in process, skip the body: FetchCells / FetchChildren / FetchStats run
+// the same lookups and return the typed results the decoders would.
 //
 // Errors map straight onto the Status vocabulary: the response carries the
 // failing code and message with an empty body.
@@ -70,6 +82,21 @@ class QueryService {
   static QueryResponse ExecuteOn(const CubeSnapshot& snapshot,
                                  const QueryRequest& request);
 
+  // The shard-internal requests answered in process (the in-process shard
+  // transport, shard/backend.h): the lookups ExecuteOn encodes for the
+  // wire, on one pinned snapshot, as the typed results the wire decoders
+  // produce. A fetched graph is a copy that shares the cell's sealed column
+  // block, so nothing is encoded, decoded or re-sealed, and it stays
+  // readable after the snapshot is unpinned. `request` must have the
+  // matching internal type. Errors are the ones ExecuteOn answers with; a
+  // cell whose support is not its graph's path count fails as the wire
+  // decoder would (MalformedInternalBody).
+  Result<Pinned<std::vector<FetchedCell>>> FetchCells(
+      const QueryRequest& request) const;
+  Result<Pinned<FetchedChildren>> FetchChildren(
+      const QueryRequest& request) const;
+  Result<Pinned<FetchedStats>> FetchStats(const QueryRequest& request) const;
+
  private:
   // An LRU entry: cache key -> the successful response's (epoch, body).
   struct CachedLookup {
@@ -77,6 +104,10 @@ class QueryService {
     uint64_t epoch = 0;
     std::string body;
   };
+
+  // Pins the current snapshot for one shard-internal request and checks
+  // the request's shape, counting it as ExecuteOn counts requests.
+  Result<SnapshotPtr> PinFor(const QueryRequest& request) const;
 
   bool CacheGet(const std::string& key, uint64_t* epoch,
                 std::string* body) const;

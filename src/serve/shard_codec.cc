@@ -1,8 +1,10 @@
 #include "serve/shard_codec.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
+#include "common/logging.h"
 #include "serve/protocol.h"
 #include "store/cube_codec.h"
 
@@ -207,18 +209,22 @@ std::string EncodeChildrenBody(const FlowCell* parent,
   return w.data();
 }
 
-std::string EncodeStatsBody(
-    uint64_t records, const FlowCubePlan& plan,
-    std::span<const std::vector<const FlowCell*>> cuboids) {
+std::string EncodeStatsBody(const FlowCubePlan& plan,
+                            const FetchedStats& stats) {
+  FC_CHECK(stats.num_cuboids() ==
+           plan.item_levels.size() * plan.path_levels.size());
   ByteWriter w;
-  w.U64(records);
+  w.U64(stats.records);
   w.U32(static_cast<uint32_t>(plan.item_levels.size()));
   w.U32(static_cast<uint32_t>(plan.path_levels.size()));
-  for (const std::vector<const FlowCell*>& cells : cuboids) {
-    w.U32(static_cast<uint32_t>(cells.size()));
-    for (const FlowCell* cell : cells) {
-      EncodeKey(cell->dims, &w);
-      w.U32(cell->support);
+  for (size_t c = 0; c < stats.num_cuboids(); ++c) {
+    w.U32(stats.cuboid_begin[c + 1] - stats.cuboid_begin[c]);
+    for (uint32_t i = stats.cuboid_begin[c]; i < stats.cuboid_begin[c + 1];
+         ++i) {
+      const std::span<const ItemId> key = stats.key(i);
+      w.U32(static_cast<uint32_t>(key.size()));
+      for (ItemId id : key) w.U32(id);
+      w.U32(stats.supports[i]);
     }
   }
   return w.data();
@@ -263,6 +269,7 @@ Status DecodeChildrenBody(std::string_view body, const PathSchema& schema,
 Status DecodeStatsBody(std::string_view body, const FlowCubePlan& plan,
                        FetchedStats* out) {
   ByteReader r(body);
+  *out = FetchedStats();
   FC_RETURN_IF_ERROR(r.U64(&out->records));
   uint32_t n_il = 0;
   uint32_t n_pl = 0;
@@ -272,17 +279,36 @@ Status DecodeStatsBody(std::string_view body, const FlowCubePlan& plan,
   if (n_il != plan.item_levels.size() || n_pl != plan.path_levels.size()) {
     return Malformed("cuboid grid disagrees with the plan");
   }
-  out->cuboids.resize(static_cast<size_t>(n_il) * n_pl);
-  for (auto& cells : out->cuboids) {
+  const size_t num_cuboids = static_cast<size_t>(n_il) * n_pl;
+  for (size_t c = 0; c < num_cuboids; ++c) {
     uint32_t n = 0;
     FC_RETURN_IF_ERROR(ReadCount(&r, &n));
-    cells.resize(n);
-    for (auto& [key, support] : cells) {
-      FC_RETURN_IF_ERROR(DecodeKey(&r, &key));
+    for (uint32_t i = 0; i < n; ++i) {
+      uint32_t key_size = 0;
+      FC_RETURN_IF_ERROR(r.U32(&key_size));
+      if (key_size > kMaxQueryValues) return Malformed("key too long");
+      for (uint32_t k = 0; k < key_size; ++k) {
+        uint32_t id = 0;
+        FC_RETURN_IF_ERROR(r.U32(&id));
+        out->items.push_back(id);
+      }
+      uint32_t support = 0;
       FC_RETURN_IF_ERROR(r.U32(&support));
+      out->key_begin.push_back(static_cast<uint32_t>(out->items.size()));
+      out->supports.push_back(support);
+      const size_t cell = out->supports.size() - 1;
+      if (i > 0 && !std::ranges::lexicographical_compare(out->key(cell - 1),
+                                                         out->key(cell))) {
+        return Malformed("cell keys out of order");
+      }
     }
+    out->EndCuboid();
   }
   return ExpectEnd(r);
+}
+
+Status MalformedInternalBody() {
+  return Status::Internal("malformed internal response body");
 }
 
 }  // namespace flowcube

@@ -1,10 +1,58 @@
 #include "shard/backend.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace flowcube {
+namespace {
+
+// The default typed fetch: Call, then `decode(body, &value)` on an OK
+// response.
+template <typename T, typename Decode>
+Result<Pinned<T>> CallAndDecode(ShardBackend* backend, size_t shard,
+                                const QueryRequest& request, Decode decode) {
+  Result<QueryResponse> response = backend->Call(shard, request);
+  if (!response.ok()) return response.status();
+  if (response->code != Status::Code::kOk) {
+    return Status::FromCode(response->code, response->message);
+  }
+  Pinned<T> out;
+  out.epoch = response->epoch;
+  if (!decode(std::string_view(response->body), &out.value).ok()) {
+    return MalformedInternalBody();
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<Pinned<std::vector<FetchedCell>>> ShardBackend::FetchCells(
+    size_t shard, const QueryRequest& request, const PathSchema& schema) {
+  return CallAndDecode<std::vector<FetchedCell>>(
+      this, shard, request,
+      [&](std::string_view body, std::vector<FetchedCell>* out) {
+        return DecodeCellFetchBody(body, schema, request.coords.size(), out);
+      });
+}
+
+Result<Pinned<FetchedChildren>> ShardBackend::FetchChildren(
+    size_t shard, const QueryRequest& request, const PathSchema& schema) {
+  return CallAndDecode<FetchedChildren>(
+      this, shard, request,
+      [&](std::string_view body, FetchedChildren* out) {
+        return DecodeChildrenBody(body, schema, out);
+      });
+}
+
+Result<Pinned<FetchedStats>> ShardBackend::FetchStats(
+    size_t shard, const QueryRequest& request, const FlowCubePlan& plan) {
+  return CallAndDecode<FetchedStats>(
+      this, shard, request, [&](std::string_view body, FetchedStats* out) {
+        return DecodeStatsBody(body, plan, out);
+      });
+}
 
 LocalShardBackend::LocalShardBackend(std::vector<const QueryService*> services)
     : services_(std::move(services)) {
@@ -15,6 +63,31 @@ Result<QueryResponse> LocalShardBackend::Call(size_t shard,
                                               const QueryRequest& request) {
   FC_CHECK(shard < services_.size());
   return services_[shard]->Execute(request);
+}
+
+Result<Pinned<std::vector<FetchedCell>>> LocalShardBackend::FetchCells(
+    size_t shard, const QueryRequest& request, const PathSchema& /*schema*/) {
+  FC_CHECK(shard < services_.size());
+  return services_[shard]->FetchCells(request);
+}
+
+Result<Pinned<FetchedChildren>> LocalShardBackend::FetchChildren(
+    size_t shard, const QueryRequest& request, const PathSchema& /*schema*/) {
+  FC_CHECK(shard < services_.size());
+  return services_[shard]->FetchChildren(request);
+}
+
+Result<Pinned<FetchedStats>> LocalShardBackend::FetchStats(
+    size_t shard, const QueryRequest& request, const FlowCubePlan& plan) {
+  FC_CHECK(shard < services_.size());
+  Result<Pinned<FetchedStats>> stats = services_[shard]->FetchStats(request);
+  // The decoder's plan check: a shard running another plan is a deployment
+  // error the merge must not index past.
+  if (stats.ok() && stats->value.num_cuboids() !=
+                        plan.item_levels.size() * plan.path_levels.size()) {
+    return MalformedInternalBody();
+  }
+  return stats;
 }
 
 RemoteShardBackend::RemoteShardBackend(std::vector<uint16_t> ports,

@@ -10,14 +10,20 @@
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/query_service.h"
+#include "serve/shard_codec.h"
 
 namespace flowcube {
 
-// Transport abstraction between the coordinator and its shards: one
-// synchronous call to one shard. The coordinator is transport-agnostic —
-// byte-identical responses are required from both implementations, which
-// the shard differential suite enforces by running every scenario through
-// each.
+// Transport abstraction between the coordinator and its shards. The
+// coordinator asks through the typed fetches, one internal request to one
+// shard each, answered with the typed result it merges and the epoch of the
+// snapshot the shard pinned. Their defaults go through Call, the one
+// untyped round trip, and decode the body with serve/shard_codec.h, so a
+// transport that implements only Call (RemoteShardBackend, test and trace
+// wrappers) keeps every check of the wire decoders. The in-process
+// transport overrides them and hands out the shards' own sealed graphs.
+// Responses must be byte-identical through every transport, which the
+// shard differential suite enforces by running every scenario through each.
 class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
@@ -28,12 +34,27 @@ class ShardBackend {
   virtual Result<QueryResponse> Call(size_t shard,
                                      const QueryRequest& request) = 0;
 
+  // The typed fetches for kCellFetchBatch, kChildrenFetch and kStatsFetch
+  // requests. `schema` and `plan` are what the decoders check a body
+  // against. A failure is the shard's status: the transport's, the code
+  // and message of an error response, or MalformedInternalBody() for an
+  // answer that breaks the wire contract.
+  virtual Result<Pinned<std::vector<FetchedCell>>> FetchCells(
+      size_t shard, const QueryRequest& request, const PathSchema& schema);
+  virtual Result<Pinned<FetchedChildren>> FetchChildren(
+      size_t shard, const QueryRequest& request, const PathSchema& schema);
+  virtual Result<Pinned<FetchedStats>> FetchStats(size_t shard,
+                                                  const QueryRequest& request,
+                                                  const FlowCubePlan& plan);
+
   virtual size_t num_shards() const = 0;
 };
 
 // In-process transport: shards are threads in this address space and the
-// backend invokes each shard's QueryService directly (which still pins one
-// RCU snapshot per call — exactly the isolation a remote shard has).
+// backend asks each shard's QueryService directly, which still pins one
+// RCU snapshot per call, exactly the isolation a remote shard has. The
+// typed fetches skip the codec: fetched graphs share the shard's sealed
+// column blocks (QueryService::FetchCells).
 class LocalShardBackend : public ShardBackend {
  public:
   // `services[i]` must outlive the backend.
@@ -41,6 +62,15 @@ class LocalShardBackend : public ShardBackend {
 
   Result<QueryResponse> Call(size_t shard,
                              const QueryRequest& request) override;
+  Result<Pinned<std::vector<FetchedCell>>> FetchCells(
+      size_t shard, const QueryRequest& request,
+      const PathSchema& schema) override;
+  Result<Pinned<FetchedChildren>> FetchChildren(
+      size_t shard, const QueryRequest& request,
+      const PathSchema& schema) override;
+  Result<Pinned<FetchedStats>> FetchStats(size_t shard,
+                                          const QueryRequest& request,
+                                          const FlowCubePlan& plan) override;
   size_t num_shards() const override { return services_.size(); }
 
  private:

@@ -4,10 +4,14 @@
 #include <cstdio>
 #include <limits>
 #include <map>
-#include <string_view>
+#include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/metrics.h"
+#include "common/stopwatch.h"
 #include "flowcube/dump.h"
 #include "flowcube/query.h"
 #include "serve/shard_codec.h"
@@ -15,40 +19,58 @@
 namespace flowcube {
 namespace {
 
-// Rebuilds a status with the same code but a different message (used to
-// prefix shard errors while preserving the partial-failure code).
-Status StatusWithCode(Status::Code code, std::string_view msg) {
-  switch (code) {
-    case Status::Code::kOk:
-      return Status::OK();
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case Status::Code::kNotFound:
-      return Status::NotFound(msg);
-    case Status::Code::kAlreadyExists:
-      return Status::AlreadyExists(msg);
-    case Status::Code::kOutOfRange:
-      return Status::OutOfRange(msg);
-    case Status::Code::kFailedPrecondition:
-      return Status::FailedPrecondition(msg);
-    case Status::Code::kInternal:
-      return Status::Internal(msg);
-    case Status::Code::kUnavailable:
-      return Status::Unavailable(msg);
-    case Status::Code::kDeadlineExceeded:
-      return Status::DeadlineExceeded(msg);
+// Per-request stage times of the coordinator (DESIGN.md §15), registered
+// once. A request records each stage it completes.
+struct CoordinatorMetrics {
+  // Every shard's typed fetch, decoding included on the codec path.
+  Histogram& fetch =
+      MetricRegistry::Global().histogram("shard.coordinator.fetch_seconds");
+  // Summing supports, merging flowgraphs and canonicalizing them.
+  Histogram& merge =
+      MetricRegistry::Global().histogram("shard.coordinator.merge_seconds");
+  // The response body from the merged result.
+  Histogram& render =
+      MetricRegistry::Global().histogram("shard.coordinator.render_seconds");
+
+  static CoordinatorMetrics& Get() {
+    static CoordinatorMetrics* m = new CoordinatorMetrics();
+    return *m;
   }
-  return Status::Internal(msg);
+};
+
+// Times consecutive stages of one request: Lap records the seconds since
+// construction or the previous lap into `stage`.
+class StageTimer {
+ public:
+  void Lap(Histogram& stage) {
+    stage.Record(watch_.ElapsedSeconds());
+    watch_.Reset();
+  }
+
+ private:
+  Stopwatch watch_;
+};
+
+// The same status with the shard named in front of its message.
+Status ShardError(size_t shard, const Status& status) {
+  return Status::FromCode(status.code(), "shard " + std::to_string(shard) +
+                                             ": " + status.message());
 }
 
-Status ShardError(size_t shard, Status::Code code, std::string_view msg) {
-  return StatusWithCode(
-      code, "shard " + std::to_string(shard) + ": " + std::string(msg));
-}
-
-Status MalformedBody(size_t shard) {
-  return Status::Internal("shard " + std::to_string(shard) +
-                          ": malformed internal response body");
+// Fetches from every shard in ascending order. The first shard that fails,
+// by its transport, its answer or a malformed body, aborts the fan-out
+// with its status; `epochs` then holds the shards accepted before it.
+template <typename T, typename Fetch>
+Status FanOut(size_t num_shards, const Fetch& fetch, std::vector<T>* out,
+              std::vector<uint64_t>* epochs) {
+  out->reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    Result<Pinned<T>> fetched = fetch(s);
+    if (!fetched.ok()) return ShardError(s, fetched.status());
+    epochs->push_back(fetched->epoch);
+    out->push_back(std::move(fetched->value));
+  }
+  return Status::OK();
 }
 
 QueryResponse ErrorResponse(const QueryRequest& request,
@@ -77,17 +99,32 @@ WireCellCoord ToWire(const CellCoords& coords) {
   return wire;
 }
 
-// Merged (support, graph) of one coordinate across shards, in ascending
-// shard order so the accumulated counts are order-deterministic.
+// One coordinate across shards: the summed support and the graphs of the
+// shards that hold it, in ascending shard order.
 struct MergedCell {
   uint64_t support = 0;
-  FlowGraph graph;  // mutable accumulator
+  std::vector<const FlowGraph*> graphs;
+
+  void Add(const FetchedCell& fetched) {
+    if (!fetched.found) return;
+    support += fetched.support;
+    graphs.push_back(&fetched.graph);
+  }
+  void Clear() {
+    support = 0;
+    graphs.clear();
+  }
 };
 
-void MergeShard(const FetchedCell& fetched, MergedCell* merged) {
-  if (!fetched.found) return;
-  merged->support += fetched.support;
-  merged->graph.MergeFrom(fetched.graph);
+// The merged graph in canonical numbering: the algebraic MergeFrom in
+// ascending shard order (Lemma 4.2), then Canonical(). A graph held by one
+// shard only needs no accumulator, because Canonical() numbers nodes by
+// content alone.
+FlowGraph MergedCanonical(const MergedCell& merged) {
+  if (merged.graphs.size() == 1) return merged.graphs[0]->Canonical();
+  FlowGraph sum;
+  for (const FlowGraph* graph : merged.graphs) sum.MergeFrom(*graph);
+  return sum.Canonical();
 }
 
 // A rendered cell carries a u32 support, so a merged sum above that range
@@ -101,6 +138,45 @@ Status SupportOverflow(const std::string& cell_name) {
                           ": merged support exceeds the u32 range");
 }
 
+// The number of cells whose supports, summed over `shards`, reach `delta`.
+// Per cuboid, one k-way merge of the shards' ascending key lists sums the
+// supports of equal keys; nothing is allocated per key.
+size_t CountFrequentCells(std::span<const FetchedStats> shards,
+                          size_t num_cuboids, uint64_t delta) {
+  std::vector<uint32_t> next(shards.size());
+  size_t cells = 0;
+  for (size_t c = 0; c < num_cuboids; ++c) {
+    for (size_t s = 0; s < shards.size(); ++s) {
+      next[s] = shards[s].cuboid_begin[c];
+    }
+    const auto has_next = [&](size_t s) {
+      return next[s] < shards[s].cuboid_begin[c + 1];
+    };
+    while (true) {
+      // The least key any shard has left in this cuboid.
+      std::span<const ItemId> least;
+      bool any = false;
+      for (size_t s = 0; s < shards.size(); ++s) {
+        if (!has_next(s)) continue;
+        const std::span<const ItemId> key = shards[s].key(next[s]);
+        if (!any || std::ranges::lexicographical_compare(key, least)) {
+          least = key;
+          any = true;
+        }
+      }
+      if (!any) break;
+      uint64_t support = 0;
+      for (size_t s = 0; s < shards.size(); ++s) {
+        if (has_next(s) && std::ranges::equal(shards[s].key(next[s]), least)) {
+          support += shards[s].supports[next[s]++];
+        }
+      }
+      if (support >= delta) ++cells;
+    }
+  }
+  return cells;
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(SchemaPtr schema, FlowCubePlan plan,
@@ -112,26 +188,6 @@ ShardCoordinator::ShardCoordinator(SchemaPtr schema, FlowCubePlan plan,
       options_(options) {
   FC_CHECK(backend_ != nullptr);
   FC_CHECK_MSG(backend_->num_shards() > 0, "coordinator needs >= 1 shard");
-}
-
-Result<std::vector<std::string>> ShardCoordinator::FanOut(
-    const QueryRequest& internal, std::vector<uint64_t>* epochs) const {
-  const size_t n = backend_->num_shards();
-  std::vector<std::string> bodies;
-  bodies.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    Result<QueryResponse> response = backend_->Call(s, internal);
-    if (!response.ok()) {
-      return ShardError(s, response.status().code(),
-                        response.status().message());
-    }
-    if (response->code != Status::Code::kOk) {
-      return ShardError(s, response->code, response->message);
-    }
-    epochs->push_back(response->epoch);
-    bodies.push_back(std::move(response->body));
-  }
-  return bodies;
 }
 
 CoordinatorResult ShardCoordinator::Execute(const QueryRequest& request) const {
@@ -221,25 +277,25 @@ CoordinatorResult ShardCoordinator::PointLookup(const QueryRequest& request,
     internal.coords.push_back(ToWire(coords));
   }
 
+  CoordinatorMetrics& metrics = CoordinatorMetrics::Get();
+  StageTimer timer;
   CoordinatorResult result;
-  Result<std::vector<std::string>> bodies = FanOut(internal, &result.epochs);
-  if (!bodies.ok()) {
-    return ErrorResult(request, bodies.status(), std::move(result.epochs));
+  std::vector<std::vector<FetchedCell>> per_shard;
+  const Status fetched = FanOut(
+      backend_->num_shards(),
+      [&](size_t s) { return backend_->FetchCells(s, internal, schema); },
+      &per_shard, &result.epochs);
+  if (!fetched.ok()) {
+    return ErrorResult(request, fetched, std::move(result.epochs));
   }
-  std::vector<std::vector<FetchedCell>> per_shard(bodies->size());
-  for (size_t s = 0; s < bodies->size(); ++s) {
-    if (!DecodeCellFetchBody((*bodies)[s], schema, resolved.size(),
-                             &per_shard[s])
-             .ok()) {
-      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
-    }
-  }
+  timer.Lap(metrics.fetch);
 
   const uint64_t delta = std::max<uint32_t>(options_.min_support, 1);
+  MergedCell merged;
   for (size_t i = 0; i < resolved.size(); ++i) {
-    MergedCell merged;
+    merged.Clear();
     for (const std::vector<FetchedCell>& shard : per_shard) {
-      MergeShard(shard[i], &merged);
+      merged.Add(shard[i]);
     }
     if (merged.support < delta) continue;
     // First candidate at or above the global threshold is the answer
@@ -252,14 +308,17 @@ CoordinatorResult ShardCoordinator::PointLookup(const QueryRequest& request,
     FlowCell cell;
     cell.dims = resolved[i].key;
     cell.support = static_cast<uint32_t>(merged.support);
-    cell.graph = merged.graph.Canonical();
+    cell.graph = MergedCanonical(merged);
+    timer.Lap(metrics.merge);
     result.response.request_id = request.request_id;
     result.response.body =
         "cell " + skeleton_.CellName(cell.dims) + "\nil " +
         std::to_string(resolved[i].il_index) + " pl " +
         std::to_string(request.pl_index) + "\n" + DumpFlowCell(cell);
+    timer.Lap(metrics.render);
     return result;
   }
+  timer.Lap(metrics.merge);
 
   const Status miss =
       or_ancestor
@@ -292,18 +351,20 @@ CoordinatorResult ShardCoordinator::DrillDown(const QueryRequest& request) const
   internal.dim = request.dim;
   internal.coords.push_back(ToWire(*parent));
 
+  CoordinatorMetrics& metrics = CoordinatorMetrics::Get();
+  StageTimer timer;
   CoordinatorResult result;
-  Result<std::vector<std::string>> bodies = FanOut(internal, &result.epochs);
-  if (!bodies.ok()) {
-    return ErrorResult(request, bodies.status(), std::move(result.epochs));
+  std::vector<FetchedChildren> per_shard;
+  const Status fetched = FanOut(
+      backend_->num_shards(),
+      [&](size_t s) {
+        return backend_->FetchChildren(s, internal, skeleton_.schema());
+      },
+      &per_shard, &result.epochs);
+  if (!fetched.ok()) {
+    return ErrorResult(request, fetched, std::move(result.epochs));
   }
-  std::vector<FetchedChildren> per_shard(bodies->size());
-  for (size_t s = 0; s < bodies->size(); ++s) {
-    if (!DecodeChildrenBody((*bodies)[s], skeleton_.schema(), &per_shard[s])
-             .ok()) {
-      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
-    }
-  }
+  timer.Lap(metrics.fetch);
 
   const uint64_t delta = std::max<uint32_t>(options_.min_support, 1);
   uint64_t parent_support = 0;
@@ -311,6 +372,7 @@ CoordinatorResult ShardCoordinator::DrillDown(const QueryRequest& request) const
     if (shard.parent.found) parent_support += shard.parent.support;
   }
   if (parent_support < delta) {
+    timer.Lap(metrics.merge);
     return ErrorResult(
         request,
         Status::NotFound("cell " + skeleton_.CellName(parent->key) +
@@ -323,33 +385,30 @@ CoordinatorResult ShardCoordinator::DrillDown(const QueryRequest& request) const
   // sort the single-node drill-down body uses.
   std::map<Itemset, MergedCell> children;
   for (const FetchedChildren& shard : per_shard) {
-    for (const auto& [key, cell] : shard.children) {
-      MergeShard(cell, &children[key]);
-    }
+    for (const auto& [key, cell] : shard.children) children[key].Add(cell);
   }
-
-  std::string body;
-  size_t materialized = 0;
+  std::vector<FlowCell> cells;
   for (const auto& [key, merged] : children) {
     if (merged.support < delta) continue;
     if (SupportOverflows(merged)) {
       return ErrorResult(request, SupportOverflow(skeleton_.CellName(key)),
                          std::move(result.epochs));
     }
-    ++materialized;
-  }
-  body = "children " + std::to_string(materialized) + "\n";
-  for (auto& [key, merged] : children) {
-    if (merged.support < delta) continue;
-    FlowCell cell;
+    FlowCell& cell = cells.emplace_back();
     cell.dims = key;
     cell.support = static_cast<uint32_t>(merged.support);
-    cell.graph = merged.graph.Canonical();
+    cell.graph = MergedCanonical(merged);
+  }
+  timer.Lap(metrics.merge);
+
+  std::string body = "children " + std::to_string(cells.size()) + "\n";
+  for (const FlowCell& cell : cells) {
     body += "child " + skeleton_.CellName(cell.dims) + "\n" +
             DumpFlowCell(cell);
   }
   result.response.request_id = request.request_id;
   result.response.body = std::move(body);
+  timer.Lap(metrics.render);
   return result;
 }
 
@@ -374,26 +433,28 @@ CoordinatorResult ShardCoordinator::Similarity(const QueryRequest& request) cons
   internal.coords.push_back(ToWire(*a));
   if (b.ok()) internal.coords.push_back(ToWire(*b));
 
+  CoordinatorMetrics& metrics = CoordinatorMetrics::Get();
+  StageTimer timer;
   CoordinatorResult result;
-  Result<std::vector<std::string>> bodies = FanOut(internal, &result.epochs);
-  if (!bodies.ok()) {
-    return ErrorResult(request, bodies.status(), std::move(result.epochs));
+  std::vector<std::vector<FetchedCell>> per_shard;
+  const Status fetched = FanOut(
+      backend_->num_shards(),
+      [&](size_t s) {
+        return backend_->FetchCells(s, internal, skeleton_.schema());
+      },
+      &per_shard, &result.epochs);
+  if (!fetched.ok()) {
+    return ErrorResult(request, fetched, std::move(result.epochs));
   }
-  std::vector<std::vector<FetchedCell>> per_shard(bodies->size());
-  for (size_t s = 0; s < bodies->size(); ++s) {
-    if (!DecodeCellFetchBody((*bodies)[s], skeleton_.schema(),
-                             internal.coords.size(), &per_shard[s])
-             .ok()) {
-      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
-    }
-  }
+  timer.Lap(metrics.fetch);
 
   const uint64_t delta = std::max<uint32_t>(options_.min_support, 1);
   MergedCell merged_a;
   for (const std::vector<FetchedCell>& shard : per_shard) {
-    MergeShard(shard[0], &merged_a);
+    merged_a.Add(shard[0]);
   }
   if (merged_a.support < delta) {
+    timer.Lap(metrics.merge);
     return ErrorResult(
         request,
         Status::NotFound("cell " + skeleton_.CellName(a->key) +
@@ -402,13 +463,15 @@ CoordinatorResult ShardCoordinator::Similarity(const QueryRequest& request) cons
         std::move(result.epochs));
   }
   if (!b.ok()) {
+    timer.Lap(metrics.merge);
     return ErrorResult(request, b.status(), std::move(result.epochs));
   }
   MergedCell merged_b;
   for (const std::vector<FetchedCell>& shard : per_shard) {
-    MergeShard(shard[1], &merged_b);
+    merged_b.Add(shard[1]);
   }
   if (merged_b.support < delta) {
+    timer.Lap(metrics.merge);
     return ErrorResult(
         request,
         Status::NotFound("cell " + skeleton_.CellName(b->key) +
@@ -416,17 +479,20 @@ CoordinatorResult ShardCoordinator::Similarity(const QueryRequest& request) cons
                          "threshold or pruned)"),
         std::move(result.epochs));
   }
-
   // Canonicalize both sides: the distance scan walks nodes in id order, so
   // float accumulation order — and therefore the printed %.17g — must not
   // depend on how many shards contributed counts.
+  const FlowGraph graph_a = MergedCanonical(merged_a);
+  const FlowGraph graph_b = MergedCanonical(merged_b);
+  timer.Lap(metrics.merge);
+
   const double distance =
-      FlowGraphDistance(merged_a.graph.Canonical(), merged_b.graph.Canonical(),
-                        options_.similarity);
+      FlowGraphDistance(graph_a, graph_b, options_.similarity);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "distance %.17g\n", distance);
   result.response.request_id = request.request_id;
   result.response.body = buf;
+  timer.Lap(metrics.render);
   return result;
 }
 
@@ -435,36 +501,27 @@ CoordinatorResult ShardCoordinator::Stats(const QueryRequest& request) const {
   internal.type = RequestType::kStatsFetch;
   internal.request_id = request.request_id;
 
+  CoordinatorMetrics& metrics = CoordinatorMetrics::Get();
+  StageTimer timer;
   CoordinatorResult result;
-  Result<std::vector<std::string>> bodies = FanOut(internal, &result.epochs);
-  if (!bodies.ok()) {
-    return ErrorResult(request, bodies.status(), std::move(result.epochs));
+  std::vector<FetchedStats> per_shard;
+  const Status fetched = FanOut(
+      backend_->num_shards(),
+      [&](size_t s) {
+        return backend_->FetchStats(s, internal, skeleton_.plan());
+      },
+      &per_shard, &result.epochs);
+  if (!fetched.ok()) {
+    return ErrorResult(request, fetched, std::move(result.epochs));
   }
-  std::vector<FetchedStats> per_shard(bodies->size());
-  for (size_t s = 0; s < bodies->size(); ++s) {
-    if (!DecodeStatsBody((*bodies)[s], skeleton_.plan(), &per_shard[s])
-             .ok()) {
-      return ErrorResult(request, MalformedBody(s), std::move(result.epochs));
-    }
-  }
+  timer.Lap(metrics.fetch);
 
   const uint64_t delta = std::max<uint32_t>(options_.min_support, 1);
   uint64_t records = 0;
-  size_t cells = 0;
-  const size_t num_cuboids = skeleton_.num_cuboids();
-  std::map<Itemset, uint64_t> supports;
   for (const FetchedStats& shard : per_shard) records += shard.records;
-  for (size_t c = 0; c < num_cuboids; ++c) {
-    supports.clear();
-    for (const FetchedStats& shard : per_shard) {
-      for (const auto& [key, support] : shard.cuboids[c]) {
-        supports[key] += support;
-      }
-    }
-    for (const auto& [key, support] : supports) {
-      if (support >= delta) ++cells;
-    }
-  }
+  const size_t num_cuboids = skeleton_.num_cuboids();
+  const size_t cells = CountFrequentCells(per_shard, num_cuboids, delta);
+  timer.Lap(metrics.merge);
 
   // Redundancy analysis is a whole-cube post-pass a sharded deployment does
   // not run (DESIGN.md §15), so the global count is by definition 0.
@@ -472,6 +529,7 @@ CoordinatorResult ShardCoordinator::Stats(const QueryRequest& request) const {
   result.response.body = "records " + std::to_string(records) + "\ncuboids " +
                          std::to_string(num_cuboids) + "\ncells " +
                          std::to_string(cells) + "\nredundant 0\n";
+  timer.Lap(metrics.render);
   return result;
 }
 

@@ -271,7 +271,9 @@ TEST(ShardDifferentialTest, ByteIdenticalAcrossSeedsShardCountsTransports) {
 }
 
 // Replay backend: answers shard s from one fixed snapshot, exactly like a
-// shard whose registry is frozen at the recorded epoch.
+// shard whose registry is frozen at the recorded epoch. It implements only
+// Call, so the replay goes through the wire codec while the live
+// deployment's LocalShardBackend hands out the shards' sealed graphs.
 class FixedBackend : public ShardBackend {
  public:
   explicit FixedBackend(std::vector<CubeSnapshot> snapshots)

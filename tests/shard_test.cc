@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
 #include <span>
@@ -15,12 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
+#include "common/random.h"
 #include "flowcube/builder.h"
 #include "flowcube/dump.h"
 #include "gen/path_generator.h"
 #include "io/binary_io.h"
 #include "path/path_database.h"
 #include "serve/query_service.h"
+#include "serve/shard_codec.h"
+#include "serve/snapshot_registry.h"
 #include "shard/backend.h"
 #include "shard/coordinator.h"
 #include "shard/ingest_splitter.h"
@@ -535,6 +540,314 @@ TEST(ShardCoordinatorTest, RemoteTransportAnswersThroughRealServers) {
   const CubeSnapshot mono = MonolithicSnapshot(db, plan);
   EXPECT_EQ(result.response.body,
             QueryService::ExecuteOn(mono, request).body);
+}
+
+// --- Typed fetches ---------------------------------------------------------
+
+// Forwards only Call, so the coordinator's fetches take ShardBackend's
+// default path: the wire codec and its decoders.
+class CallOnlyBackend : public ShardBackend {
+ public:
+  explicit CallOnlyBackend(ShardBackend* inner) : inner_(inner) {}
+  Result<QueryResponse> Call(size_t shard,
+                             const QueryRequest& request) override {
+    return inner_->Call(shard, request);
+  }
+  size_t num_shards() const override { return inner_->num_shards(); }
+
+ private:
+  ShardBackend* inner_;
+};
+
+// A kCellFetchBatch for the apex cell (item level 0) at path level 0.
+QueryRequest ApexFetch() {
+  QueryRequest request;
+  request.type = RequestType::kCellFetchBatch;
+  request.pl_index = 0;
+  request.coords.push_back(WireCellCoord{0, {}});
+  return request;
+}
+
+TEST(ShardBackendTest, LocalCellFetchSharesThePublishedSealedColumns) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(80);
+  Deployment d;
+  BuildLocalDeployment(db, 2, &d);
+  IngestAll(db, &d);
+
+  const SnapshotPtr pinned = d.nodes[0]->registry().Acquire();
+  const FlowCell* apex = pinned->cube->cuboid(0, 0).Find({});
+  ASSERT_NE(apex, nullptr);
+  ASSERT_TRUE(apex->graph.sealed());
+
+  Result<Pinned<std::vector<FetchedCell>>> local =
+      d.backend->FetchCells(0, ApexFetch(), *d.schema);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_EQ(local->epoch, pinned->epoch);
+  ASSERT_EQ(local->value.size(), 1u);
+  const FetchedCell& shared = local->value[0];
+  ASSERT_TRUE(shared.found);
+  EXPECT_EQ(shared.support, apex->support);
+  // Zero-copy: the fetched graph is the published graph's column block.
+  ASSERT_NE(shared.graph.sealed_identity(), nullptr);
+  EXPECT_EQ(shared.graph.sealed_identity(), apex->graph.sealed_identity());
+
+  // The codec path decodes a graph of its own with the same content.
+  CallOnlyBackend codec(d.backend.get());
+  Result<Pinned<std::vector<FetchedCell>>> decoded =
+      codec.FetchCells(0, ApexFetch(), *d.schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->epoch, pinned->epoch);
+  ASSERT_TRUE(decoded->value[0].found);
+  EXPECT_NE(decoded->value[0].graph.sealed_identity(),
+            apex->graph.sealed_identity());
+  EXPECT_EQ(DumpFlowGraph(decoded->value[0].graph),
+            DumpFlowGraph(shared.graph));
+}
+
+TEST(ShardBackendTest, FetchedGraphOutlivesItsEpoch) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(80);
+  Deployment d;
+  BuildLocalDeployment(db, 1, &d);
+  const std::span<const PathRecord> records(db.records());
+  ASSERT_TRUE(d.splitter->Apply(records.subspan(0, 40)).ok());
+
+  Result<Pinned<std::vector<FetchedCell>>> fetched =
+      d.backend->FetchCells(0, ApexFetch(), *d.schema);
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  const FetchedCell& cell = fetched->value[0];
+  ASSERT_TRUE(cell.found);
+  EXPECT_EQ(cell.support, 40u);
+  const std::string before = DumpFlowGraph(cell.graph);
+
+  // Every record reaches the apex, so the next epoch rebuilds its graph
+  // into a new column block, and the fetch's pin is long gone: once the
+  // registry holds only the new epoch, nothing but the fetched copy keeps
+  // the old block alive.
+  ASSERT_TRUE(d.splitter->Apply(records.subspan(40)).ok());
+  EXPECT_EQ(d.nodes[0]->registry().live_snapshots(), 1u);
+  const SnapshotPtr current = d.nodes[0]->registry().Acquire();
+  EXPECT_GT(current->epoch, fetched->epoch);
+  const FlowCell* apex = current->cube->cuboid(0, 0).Find({});
+  ASSERT_NE(apex, nullptr);
+  EXPECT_EQ(apex->support, 80u);
+  EXPECT_NE(apex->graph.sealed_identity(), cell.graph.sealed_identity());
+
+  EXPECT_EQ(cell.graph.total_paths(), 40u);
+  EXPECT_EQ(DumpFlowGraph(cell.graph), before);
+}
+
+// A sealed graph of `support` paths that all end at the root.
+FlowGraph RootOnlyGraph(uint32_t support) {
+  FlowGraph::SealedColumns columns;
+  columns.location = {kInvalidNode};
+  columns.parent = {FlowGraph::kRoot};
+  columns.depth = {0};
+  columns.path_count = {support};
+  columns.terminate_count = {support};
+  columns.child_begin = {0, 0};
+  columns.duration_begin = {0, 0};
+  return FlowGraph::FromSealedColumns(std::move(columns));
+}
+
+// A shard serving one published cube.
+struct RandomShard {
+  std::unique_ptr<SnapshotRegistry> registry;
+  std::unique_ptr<QueryService> service;
+};
+
+// The count of cells in the kStats body.
+uint64_t CellsLine(const std::string& body) {
+  const size_t at = body.find("\ncells ");
+  EXPECT_NE(at, std::string::npos) << body;
+  return std::stoull(body.substr(at + 7));
+}
+
+// kStats through the coordinator equals a std::map merge of the shards'
+// (key, support) lists, for 1-8 shards over both fetch paths. Each trial
+// mixes empty cuboids, keys held by one shard only, and keys whose
+// supports sum to exactly delta and to delta - 1.
+TEST(ShardCoordinatorTest, StatsCellCountEqualsAMapMergeOverBothFetches) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(1);
+  const FlowCubePlan plan = FlowCubePlan::Default(db.schema()).value();
+  const size_t num_pl = plan.path_levels.size();
+  const size_t num_cuboids = plan.item_levels.size() * num_pl;
+  Random rng(20261021);
+  size_t at_delta = 0;
+  size_t below_delta = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const size_t num_shards = 1 + static_cast<size_t>(trial) % 8;
+    const uint32_t delta = static_cast<uint32_t>(rng.UniformRange(2, 6));
+    // per_shard[s][c]: key -> support on shard s in cuboid c.
+    std::vector<std::vector<std::map<Itemset, uint32_t>>> per_shard(
+        num_shards, std::vector<std::map<Itemset, uint32_t>>(num_cuboids));
+    for (size_t c = 0; c < num_cuboids; ++c) {
+      if (rng.Bernoulli(0.25)) continue;  // an empty cuboid
+      const int keys = static_cast<int>(rng.UniformRange(1, 10));
+      for (int k = 0; k < keys; ++k) {
+        Itemset key = {static_cast<ItemId>(rng.Uniform(6))};
+        if (rng.Bernoulli(0.5)) {
+          key.push_back(key[0] + 1 + static_cast<ItemId>(rng.Uniform(4)));
+        }
+        // Spread a total around delta over a random subset of shards; a
+        // total held whole by one shard is a single-shard key.
+        const uint32_t total =
+            delta - 1 + static_cast<uint32_t>(rng.Uniform(3));
+        std::vector<uint32_t> parts(num_shards, 0);
+        const bool one_shard = rng.Bernoulli(0.3);
+        for (uint32_t unit = 0; unit < total; ++unit) {
+          parts[one_shard ? 0 : rng.Uniform(num_shards)] += 1;
+        }
+        for (size_t s = 0; s < num_shards; ++s) {
+          if (parts[s] > 0) per_shard[s][c][key] += parts[s];
+        }
+      }
+    }
+
+    std::map<std::pair<size_t, Itemset>, uint64_t> merged;
+    std::vector<RandomShard> shards(num_shards);
+    std::vector<const QueryService*> services;
+    uint64_t records = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      FlowCube cube(plan, db.schema_ptr());
+      for (size_t c = 0; c < num_cuboids; ++c) {
+        for (const auto& [key, support] : per_shard[s][c]) {
+          FlowCell cell;
+          cell.dims = key;
+          cell.support = support;
+          cell.graph = RootOnlyGraph(support);
+          cube.mutable_cuboid(c / num_pl, c % num_pl).Insert(std::move(cell));
+          merged[{c, key}] += support;
+        }
+      }
+      shards[s].registry = std::make_unique<SnapshotRegistry>();
+      shards[s].registry->Publish(
+          std::make_shared<const FlowCube>(std::move(cube)), s + 1);
+      records += s + 1;
+      shards[s].service =
+          std::make_unique<QueryService>(shards[s].registry.get());
+      services.push_back(shards[s].service.get());
+    }
+    uint64_t want = 0;
+    for (const auto& [key, support] : merged) {
+      if (support >= delta) ++want;
+      at_delta += support == delta ? 1 : 0;
+      below_delta += support + 1 == delta ? 1 : 0;
+    }
+
+    LocalShardBackend local(services);
+    CallOnlyBackend codec(&local);
+    ShardCoordinatorOptions options;
+    options.min_support = delta;
+    QueryRequest stats;
+    stats.type = RequestType::kStats;
+    std::string bodies[2];
+    int path = 0;
+    for (ShardBackend* backend : {static_cast<ShardBackend*>(&local),
+                                  static_cast<ShardBackend*>(&codec)}) {
+      const ShardCoordinator coordinator(db.schema_ptr(), plan, backend,
+                                         options);
+      const CoordinatorResult result = coordinator.Execute(stats);
+      ASSERT_EQ(result.response.code, Status::Code::kOk)
+          << result.response.message;
+      EXPECT_EQ(result.epochs, std::vector<uint64_t>(num_shards, 1));
+      EXPECT_EQ(CellsLine(result.response.body), want);
+      EXPECT_TRUE(result.response.body.starts_with(
+          "records " + std::to_string(records) + "\n"));
+      bodies[path++] = result.response.body;
+    }
+    EXPECT_EQ(bodies[0], bodies[1]);
+  }
+  // The boundary sums were exercised.
+  EXPECT_GT(at_delta, 0u);
+  EXPECT_GT(below_delta, 0u);
+}
+
+// Shards are fetched and checked one at a time, in ascending order, so the
+// lowest failing shard is reported whatever its failure, and the epoch
+// vector holds only the shards accepted before it.
+TEST(ShardCoordinatorTest, FirstFailingShardInOrderIsReported) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(1);
+  const FlowCubePlan plan = FlowCubePlan::Default(db.schema()).value();
+  ShardCoordinatorOptions options;
+  options.min_support = GlobalOptions().min_support;
+  QueryRequest apex;
+  apex.type = RequestType::kPointLookup;
+  apex.values = {"*", "*"};
+  const std::string good = CellFetchBody(1, 3, 3);
+  const std::string truncated = good.substr(0, good.size() - 1);
+
+  // Shard 0's body is malformed and shard 1 is dead: shard 0 is reported.
+  CraftedBodyBackend crafted({truncated, good, good});
+  OneDeadShardBackend dead(&crafted);
+  const ShardCoordinator first(db.schema_ptr(), plan, &dead, options);
+  CoordinatorResult r = first.Execute(apex);
+  EXPECT_EQ(r.response.code, Status::Code::kInternal);
+  EXPECT_EQ(r.response.message, "shard 0: malformed internal response body");
+  EXPECT_TRUE(r.epochs.empty());
+
+  // A malformed body from shard 1 of 3 keeps shard 0's epoch only.
+  CraftedBodyBackend middle({good, truncated, good});
+  const ShardCoordinator second(db.schema_ptr(), plan, &middle, options);
+  r = second.Execute(apex);
+  EXPECT_EQ(r.response.code, Status::Code::kInternal);
+  EXPECT_EQ(r.response.message, "shard 1: malformed internal response body");
+  EXPECT_EQ(r.epochs, std::vector<uint64_t>{1});
+}
+
+TEST(ShardCoordinatorTest, StageHistogramsAdvanceWithEachRequest) {
+  PathGenerator gen(FixtureConfig());
+  const PathDatabase db = gen.Generate(60);
+  Deployment d;
+  BuildLocalDeployment(db, 2, &d);
+  IngestAll(db, &d);
+
+  const ScopedEpoch epoch;
+  MetricRegistry& registry = MetricRegistry::Global();
+  const auto counts = [&] {
+    return std::vector<uint64_t>{
+        registry.histogram("shard.coordinator.fetch_seconds").snapshot().count,
+        registry.histogram("shard.coordinator.merge_seconds").snapshot().count,
+        registry.histogram("shard.coordinator.render_seconds")
+            .snapshot()
+            .count};
+  };
+  EXPECT_EQ(counts(), (std::vector<uint64_t>{0, 0, 0}));
+
+  QueryRequest point;
+  point.type = RequestType::kPointLookup;
+  point.values = {"*", "*"};
+  QueryRequest ancestor = point;
+  ancestor.type = RequestType::kCellOrAncestor;
+  QueryRequest drill = point;
+  drill.type = RequestType::kDrillDown;
+  drill.dim = 0;
+  QueryRequest similarity = point;
+  similarity.type = RequestType::kSimilarity;
+  similarity.values_b = {"*", "*"};
+  QueryRequest stats;
+  stats.type = RequestType::kStats;
+  uint64_t n = 0;
+  for (const QueryRequest& request :
+       {point, ancestor, drill, similarity, stats}) {
+    SCOPED_TRACE("request type " +
+                 std::to_string(static_cast<int>(request.type)));
+    const CoordinatorResult result = d.coordinator->Execute(request);
+    ASSERT_EQ(result.response.code, Status::Code::kOk)
+        << result.response.message;
+    ++n;
+    EXPECT_EQ(counts(), (std::vector<uint64_t>{n, n, n}));
+  }
+
+  // A query that fails before the fan-out times no stage.
+  QueryRequest bad = point;
+  bad.pl_index = 99;
+  EXPECT_NE(d.coordinator->Execute(bad).response.code, Status::Code::kOk);
+  EXPECT_EQ(counts(), (std::vector<uint64_t>{n, n, n}));
 }
 
 }  // namespace
